@@ -1,12 +1,11 @@
 // Command mixbench regenerates the performance experiments of
-// EXPERIMENTS.md (E10-E14, E19): the measured counterparts of the paper's
-// qualitative claims about lazy evaluation, composition optimization,
-// decontextualization, the stateless group-by, the rewrite stages, and the
-// vectorized execution path with its binary wire codec.
+// EXPERIMENTS.md (E10-E14, E20, E21): the measured counterparts of the
+// paper's qualitative claims about lazy evaluation, composition
+// optimization, decontextualization, the stateless group-by and the rewrite
+// stages, plus the cost-based optimizer and the sharded fleet.
 //
 //	mixbench                      # run everything at default scale
 //	mixbench -exp lazy            # one experiment
-//	mixbench -exp vector -check   # E19, gated (CI smoke), writes BENCH_vector.json
 //	mixbench -exp cost -check     # E20, gated (CI smoke), writes BENCH_cost.json
 //	mixbench -exp shard -check    # E21, gated (CI smoke), writes BENCH_shard.json
 //	mixbench -n 2000 -k 1,10,100
@@ -24,17 +23,16 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: lazy|compose|decontext|gby|ablate|vector|cost|shard|all")
+		exp        = flag.String("exp", "all", "experiment: lazy|compose|decontext|gby|ablate|cost|shard|all")
 		sizes      = flag.String("n", "100,1000", "comma-separated customer counts")
 		ordersPer  = flag.Int("orders", 5, "orders per customer")
 		browseKs   = flag.String("k", "1,10,100", "comma-separated browse depths (lazy experiment)")
 		thresholds = flag.String("t", "50000,90000,99000", "selection thresholds (composition experiment)")
-		nJoin      = flag.Int("join-n", 1500, "rows per join side (vector experiment)")
-		runs       = flag.Int("runs", 3, "repetitions per microbench timing (vector experiment)")
+		runs       = flag.Int("runs", 3, "repetitions per timing (shard experiment)")
 		nItems     = flag.Int("items", 300, "items in the supply federation (cost experiment)")
 		nSuppliers = flag.Int("suppliers", 30, "suppliers in the supply federation (cost experiment)")
 		nShardCust = flag.Int("shard-n", 240, "customers across the shard fleet (shard experiment)")
-		check      = flag.Bool("check", false, "fail unless the gated experiments (vector, cost, shard) meet their bars")
+		check      = flag.Bool("check", false, "fail unless the gated experiments (cost, shard) meet their bars")
 	)
 	flag.Parse()
 
@@ -58,14 +56,6 @@ func main() {
 	})
 	run("gby", func() experiment.Table { return experiment.GroupBy(ns, *ordersPer) })
 	run("ablate", func() experiment.Table { return experiment.Ablation(ns[len(ns)-1]) })
-	if *exp == "all" || *exp == "vector" {
-		table, result := experiment.Vectorized(*nJoin, *runs)
-		fmt.Println(table)
-		fail(experiment.WriteVectorJSON("BENCH_vector.json", fmt.Sprintf("%d rows per join side", *nJoin), result))
-		if *check {
-			fail(result.Check())
-		}
-	}
 	if *exp == "all" || *exp == "cost" {
 		table, result := experiment.CostBased(*nItems, *nSuppliers)
 		fmt.Println(table)

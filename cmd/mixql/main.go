@@ -43,7 +43,6 @@ func main() {
 		trace   = flag.Bool("trace", false, "print every rewrite step (the paper's Figures 14-21, live)")
 		planCC  = flag.Int("plan-cache", 0, "memoized plans per pipeline stage (0 = plan caching off)")
 		srcCC   = flag.Int("source-cache", 0, "memoized relational result sets (0 = result caching off)")
-		batchEx = flag.Int("batch-exec", 0, "columnar batch window cap (0 = default 64, negative = tuple-at-a-time)")
 		pathIdx = flag.Bool("path-index", false, "dataguide label-path index for getD over local XML sources")
 		costOpt = flag.Bool("cost-opt", false, "cost-based join reordering and cached-scan substitution")
 		costExp = flag.Bool("cost", false, "print the executable plan with per-operator cost estimates (EXPLAIN)")
@@ -63,7 +62,7 @@ func main() {
 		return
 	}
 
-	med := mix.NewWith(mix.Config{PlanCache: *planCC, SourceCache: *srcCC, BatchExec: *batchEx,
+	med := mix.NewWith(mix.Config{PlanCache: *planCC, SourceCache: *srcCC,
 		PathIndex: *pathIdx, CostOpt: *costOpt})
 	switch *data {
 	case "paper":

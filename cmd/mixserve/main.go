@@ -51,7 +51,6 @@ func main() {
 		exchangeBuf = flag.Int("exchange-buffer", 0, "exchange operator tuple buffer (0 = engine default)")
 		planCache   = flag.Int("plan-cache", 0, "memoized plans per pipeline stage (0 = plan caching off)")
 		srcCache    = flag.Int("source-cache", 0, "memoized relational result sets (0 = result caching off)")
-		batchExec   = flag.Int("batch-exec", 0, "columnar batch window cap (0 = default 64, negative = tuple-at-a-time)")
 		pathIndex   = flag.Bool("path-index", false, "dataguide label-path index for getD over local XML sources")
 		binaryWire  = flag.Bool("binary-wire", false, "accept the negotiated binary wire codec from capable clients")
 
@@ -72,7 +71,6 @@ func main() {
 		ExchangeBuffer: *exchangeBuf,
 		PlanCache:      *planCache,
 		SourceCache:    *srcCache,
-		BatchExec:      *batchExec,
 		PathIndex:      *pathIndex,
 	})
 	if *shardCount > 1 {

@@ -30,16 +30,16 @@ type qdomSourceDoc struct {
 
 func (d *qdomSourceDoc) RootID() string { return d.id }
 
-func (d *qdomSourceDoc) Open() (source.ElemCursor, error) {
-	return &qdomCursor{doc: d.doc}, nil
-}
-
-// OpenAsync implements source.AsyncOpener: scanning a nested federated
-// document forces the inner mediator's own query (and its source access), so
-// a parallel execution moves that onto a producer goroutine with a bounded
-// read-ahead. Batch size does not apply to an in-process QDOM scan.
-func (d *qdomSourceDoc) OpenAsync(int, bool) source.ElemCursor {
-	return source.OpenAhead(func() (source.ElemCursor, error) { return d.Open() }, 8)
+// Open implements source.Doc. Scanning a nested federated document forces
+// the inner mediator's own query (and its source access), so a parallel
+// execution moves that onto a producer goroutine with a bounded read-ahead.
+// Batching does not apply to an in-process QDOM scan.
+func (d *qdomSourceDoc) Open(opts source.ScanOpts) (source.ElemCursor, error) {
+	open := func() (source.ElemCursor, error) { return &qdomCursor{doc: d.doc}, nil }
+	if opts.Parallel {
+		return source.OpenAhead(open, 8), nil
+	}
+	return open()
 }
 
 type qdomCursor struct {

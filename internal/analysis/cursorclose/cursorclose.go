@@ -1,5 +1,5 @@
 // Package cursorclose reports cursors, results and other close-carrying
-// values obtained from Open/OpenAhead/OpenBatch/OpenAsync/Compile sites
+// values obtained from Open/OpenAhead/Compile sites
 // that are not closed on every path — the goroutine-leak contract of the
 // exchange layer: an abandoned producer cursor that is never Closed keeps
 // its goroutine and its source connection alive.
@@ -10,7 +10,7 @@
 // "never handled anywhere" case, the analyzer flags early returns between
 // the creation site and the first handling point: the classic
 //
-//	cur, err := d.Open()
+//	cur, err := d.Open(opts)
 //	if err != nil { return err }
 //	if other() != nil { return ... }   // leaks cur
 //	defer cur.Close()
@@ -35,10 +35,8 @@ import (
 var openNames = map[string]bool{
 	"Open":      true,
 	"OpenAhead": true,
-	"OpenBatch": true,
-	"OpenAsync": true,
 	"Compile":   true,
-	"ExecRel":   true, // Catalog.ExecRel: result-cache-routed SQL cursors
+	"ExecRel":   true,  // Catalog.ExecRel: result-cache-routed SQL cursors
 	"Run":       false, // Results are closed by navigation contract, not tracked
 }
 

@@ -11,14 +11,17 @@ func (c *Cursor) Close()                   { c.closed = true }
 
 type Doc struct{}
 
-func (d *Doc) Open() (*Cursor, error)      { return &Cursor{}, nil }
-func (d *Doc) OpenAhead(depth int) *Cursor { return &Cursor{} }
-func Compile(plan string) (*Cursor, error) { return &Cursor{}, nil }
-func consume(c *Cursor)                    { c.Close() }
-func check() error                         { return errors.New("x") }
+// ScanOpts mirrors source.ScanOpts: the one Open takes the scan description.
+type ScanOpts struct{}
+
+func (d *Doc) Open(opts ScanOpts) (*Cursor, error) { return &Cursor{}, nil }
+func (d *Doc) OpenAhead(depth int) *Cursor         { return &Cursor{} }
+func Compile(plan string) (*Cursor, error)         { return &Cursor{}, nil }
+func consume(c *Cursor)                            { c.Close() }
+func check() error                                 { return errors.New("x") }
 
 func neverClosed(d *Doc) {
-	cur, err := d.Open() // want "cur returned by Open is never closed"
+	cur, err := d.Open(ScanOpts{}) // want "cur returned by Open is never closed"
 	if err != nil {
 		return
 	}
@@ -26,7 +29,7 @@ func neverClosed(d *Doc) {
 }
 
 func leakOnEarlyReturn(d *Doc) error {
-	cur, err := d.Open()
+	cur, err := d.Open(ScanOpts{})
 	if err != nil {
 		return err // fine: cur is invalid on the creation's error path
 	}
@@ -43,7 +46,7 @@ func discarded(plan string) {
 }
 
 func closedProperly(d *Doc) error {
-	cur, err := d.Open()
+	cur, err := d.Open(ScanOpts{})
 	if err != nil {
 		return err
 	}
@@ -53,7 +56,7 @@ func closedProperly(d *Doc) error {
 }
 
 func returned(d *Doc) (*Cursor, error) {
-	cur, err := d.Open()
+	cur, err := d.Open(ScanOpts{})
 	if err != nil {
 		return nil, err
 	}

@@ -8,23 +8,23 @@ import (
 	"mix/internal/xtree"
 )
 
-// This file is the vectorized execution path (ROADMAP item 4): operators
-// optionally move bindings in small columnar chunks instead of one tuple at
-// a time. The scalar cursor contract is unchanged — every vectorized cursor
-// still answers Next() — so laziness, first-answer latency and the root
-// result loop are untouched. Batching engages per execution when
-// Options.BatchExec > 1 and degrades per operator: an operator whose input
-// cannot produce batches adapts it with a scalar pull loop, and operators
-// without a columnar implementation (project, groupBy, orderBy, semiJoin,
-// the parallel exchange cursors) simply stay scalar behind the adapter.
+// This file holds the operator bodies of getD, select, hash and nested-loop
+// join, cat, crElt and apply: each moves bindings in small columnar chunks of
+// up to Options.BatchExec rows. Every such cursor still answers Next(), so
+// laziness, first-answer latency and the root result loop see the plain
+// cursor contract. An operator whose input cannot produce batches adapts it
+// with a tuple-at-a-time pull loop (batchInput), which is how project,
+// groupBy, orderBy, semiJoin and the parallel exchange cursors — none of which
+// has a columnar body — sit in the same pipeline.
 //
 // The adaptive window is the proven shape from the wire layer's batchWindow:
-// a vectorized cursor consumed through its scalar face pulls its first batch
-// with n=1 (the first answer ships alone), then doubles toward the BatchExec
-// cap while demand continues. Interior batch-to-batch edges pass the
-// requested size straight through, so one execution has a single window —
-// the one at the consumption root — rather than multiplicatively shrinking
-// ones.
+// a cursor consumed through its scalar face (Next) pulls its first batch with
+// n=1 (the first answer ships alone), then doubles toward the BatchExec cap
+// while demand continues. Interior batch-to-batch edges pass the requested
+// size straight through, so one execution has a single window — the one at
+// the consumption root — rather than multiplicatively shrinking ones. A cap
+// of 1 (navigation sessions) never grows the window: every pull asks every
+// source for exactly one more binding.
 
 // Batch is a columnar chunk of tuples: cols[c][r] is the value of schema[c]
 // in row r. All columns have length n.
@@ -253,15 +253,6 @@ func (v *vecCursor) Close() {
 	if v.closefn != nil {
 		v.closefn()
 	}
-}
-
-// batchCap returns the execution's batch window cap; 0 means the vectorized
-// path is off (Options.BatchExec of 0 or 1 reproduces scalar execution).
-func (c *Ctx) batchCap() int {
-	if c.opts.BatchExec > 1 {
-		return c.opts.BatchExec
-	}
-	return 0
 }
 
 // ---- condition evaluation over columns ----
@@ -509,8 +500,8 @@ func mergeGather(schema []xmas.Var, lb Batch, lsel []int, rb Batch, rsel []int) 
 }
 
 // newVecHashJoin probes the build table a batch of left rows at a time. The
-// build side is drained only once the first probe batch exists — the same
-// empty-left laziness as the scalar path.
+// build side is drained only once the first probe batch exists: an empty or
+// failed left input must not pay the full right-source scan.
 func newVecHashJoin(ctx *Ctx, left Cursor, right func() Cursor, schema []xmas.Var, lv, rv xmas.Var, capw int) Cursor {
 	bi := &batchInput{in: left}
 	var rb Batch
@@ -804,6 +795,10 @@ func newVecGetD(ctx *Ctx, in Cursor, o *xmas.GetD, schema []xmas.Var, capw int) 
 			case NodeVal:
 				matches = ctx.pathMatches(v.E, o.Path)
 			case ListVal:
+				// The rewrite rules (Table 2) produce paths like list.q over
+				// list-valued variables, treating the list as a virtual node
+				// labeled "list" — exactly the tree representation of
+				// Figure 5.
 				matches = pathStream(NewElem("", "list", v.L), o.Path)
 			default:
 				curRow++

@@ -4,7 +4,13 @@ import (
 	"errors"
 	"testing"
 
+	"mix/internal/rewrite"
+	"mix/internal/source"
+	"mix/internal/sqlgen"
+	"mix/internal/translate"
+	"mix/internal/workload"
 	"mix/internal/xmas"
+	"mix/internal/xquery"
 	"mix/internal/xtree"
 )
 
@@ -30,6 +36,13 @@ func tupleSource(vals ...string) ([]xmas.Var, Cursor) {
 		i++
 		return NewTuple(schema, []Value{NodeVal{E: NewLeaf("", v)}}), true, nil
 	})
+}
+
+// alwaysTrue is the constant condition 1 = 1.
+var alwaysTrue = xmas.Cond{
+	Left:  xmas.Operand{IsConst: true, Const: "1"},
+	Op:    xtree.OpEQ,
+	Right: xmas.Operand{IsConst: true, Const: "1"},
 }
 
 func TestBatchInputDeliverThenFail(t *testing.T) {
@@ -62,11 +75,6 @@ func TestBatchInputDeliverThenFail(t *testing.T) {
 func TestVecSelectFirstAnswerWindow(t *testing.T) {
 	_, src := tupleSource("a", "b", "c", "d", "e", "f", "g", "h")
 	pc := &pullCounter{in: src}
-	alwaysTrue := xmas.Cond{
-		Left:  xmas.Operand{IsConst: true, Const: "1"},
-		Op:    xtree.OpEQ,
-		Right: xmas.Operand{IsConst: true, Const: "1"},
-	}
 	cur := newVecSelect(pc, alwaysTrue, 64)
 	if _, ok, err := cur.Next(); !ok || err != nil {
 		t.Fatalf("first Next = (%v, %v)", ok, err)
@@ -85,30 +93,174 @@ func TestVecSelectFirstAnswerWindow(t *testing.T) {
 	}
 }
 
-// TestVecHashJoinEmptyLeftLaziness pins the build-side laziness invariant:
-// an empty probe side must never open the build side.
-func TestVecHashJoinEmptyLeftLaziness(t *testing.T) {
-	schema := []xmas.Var{"$l"}
-	empty := cursorFunc(func() (Tuple, bool, error) { return Tuple{}, false, nil })
+// TestVecJoinEmptyLeftLaziness pins the build-side laziness invariant at
+// the navigation window (1) and a query window: an empty probe side must
+// never open the build side of a hash or nested-loop join.
+func TestVecJoinEmptyLeftLaziness(t *testing.T) {
+	empty := func() Cursor {
+		return cursorFunc(func() (Tuple, bool, error) { return Tuple{}, false, nil })
+	}
 	rightOpened := false
 	right := func() Cursor {
 		rightOpened = true
-		return cursorFunc(func() (Tuple, bool, error) { return Tuple{}, false, nil })
+		return empty()
 	}
-	out := append(append([]xmas.Var{}, schema...), "$r")
-	cur := newVecHashJoin(nil, empty, right, out, "$l", "$r", 16)
-	if _, ok, err := cur.Next(); ok || err != nil {
-		t.Fatalf("join over empty left = (%v, %v)", ok, err)
+	out := []xmas.Var{"$l", "$r"}
+	for _, w := range []int{1, 16} {
+		cur := newVecHashJoin(nil, empty(), right, out, "$l", "$r", w)
+		if _, ok, err := cur.Next(); ok || err != nil {
+			t.Fatalf("window %d: hash join over empty left = (%v, %v)", w, ok, err)
+		}
+		if rightOpened {
+			t.Fatalf("window %d: empty left side opened the hash build side", w)
+		}
+		cur = newVecNLJoin(nil, empty(), right, out, nil, w)
+		if _, ok, err := cur.Next(); ok || err != nil {
+			t.Fatalf("window %d: NL join over empty left = (%v, %v)", w, ok, err)
+		}
+		if rightOpened {
+			t.Fatalf("window %d: empty left side materialized the NL right side", w)
+		}
 	}
-	if rightOpened {
-		t.Fatal("empty left side opened the build side")
+}
+
+// failAfterDoc delivers n items and then a terminal error.
+type failAfterDoc struct{ n int }
+
+var errSourceLost = errors.New("source connection lost")
+
+func (d failAfterDoc) RootID() string { return "&flaky" }
+
+func (d failAfterDoc) Open(source.ScanOpts) (source.ElemCursor, error) {
+	return &failAfterCursor{left: d.n}, nil
+}
+
+type failAfterCursor struct{ left, i int }
+
+func (c *failAfterCursor) Next() (*xtree.Node, bool, error) {
+	if c.i == c.left {
+		return nil, false, errSourceLost
 	}
-	cur2 := newVecNLJoin(nil, cursorFunc(func() (Tuple, bool, error) { return Tuple{}, false, nil }), right, out, nil, 16)
-	if _, ok, err := cur2.Next(); ok || err != nil {
-		t.Fatalf("NL join over empty left = (%v, %v)", ok, err)
+	c.i++
+	return xtree.NewElem(xtree.ID("&item"+string(rune('0'+c.i))), "item", xtree.Text("v")), true, nil
+}
+
+func (c *failAfterCursor) Close() {}
+
+// TestScalarOperatorUnderWindowDeliverThenFail runs the operators that have
+// no columnar body beneath a window-64 consumer, over a source that fails
+// after three items: whatever the operator produced before the failure must
+// arrive, in order, before the error — through either cursor face.
+func TestScalarOperatorUnderWindowDeliverThenFail(t *testing.T) {
+	cat := source.NewCatalog()
+	cat.AddDoc("&flaky", failAfterDoc{n: 3})
+	cat.AddXMLDoc("&one", xtree.NewElem("&one", "list", xtree.NewElem("&one.0", "x")))
+	flaky := &xmas.MkSrc{SrcID: "&flaky", Out: "$A"}
+	for _, tc := range []struct {
+		name string
+		op   xmas.Op
+		want int // tuples delivered before the error
+	}{
+		// semiJoin streams its kept side.
+		{"semiJoin", &xmas.SemiJoin{L: flaky, R: &xmas.MkSrc{SrcID: "&one", Out: "$B"}, Keep: xmas.KeepLeft}, 3},
+		// The stateful groupBy buffers its whole input, so nothing precedes
+		// the error.
+		{"groupBy", &xmas.GroupBy{In: flaky, Keys: []xmas.Var{"$A"}, Out: "$X"}, 0},
+	} {
+		op, err := compile(&xmas.Select{In: tc.op, Cond: alwaysTrue}, cat)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		open := func() Cursor {
+			ctx := NewCtx(cat)
+			ctx.opts.BatchExec = 64
+			return op(ctx)
+		}
+
+		cur := open()
+		for i := 0; i < tc.want; i++ {
+			tup, ok, err := cur.Next()
+			if !ok || err != nil {
+				t.Fatalf("%s: Next %d = (%v, %v), want a tuple", tc.name, i, ok, err)
+			}
+			if id, _ := idOf(tup.MustGet("$A")); id != "&item"+string(rune('1'+i)) {
+				t.Fatalf("%s: tuple %d is %s: out of order", tc.name, i, id)
+			}
+		}
+		if _, ok, err := cur.Next(); ok || !errors.Is(err, errSourceLost) {
+			t.Fatalf("%s: after %d tuples Next = (%v, %v), want the source error", tc.name, tc.want, ok, err)
+		}
+
+		bc := open().(BatchCursor)
+		if tc.want > 0 {
+			b, ok, err := bc.NextBatch(64)
+			if !ok || err != nil || b.Len() != tc.want {
+				t.Fatalf("%s: NextBatch(64) = (%d rows, %v, %v), want %d rows before the error", tc.name, b.Len(), ok, err, tc.want)
+			}
+		}
+		if _, ok, err := bc.NextBatch(64); ok || !errors.Is(err, errSourceLost) {
+			t.Fatalf("%s: NextBatch after the rows = (%v, %v), want the source error", tc.name, ok, err)
+		}
 	}
-	if rightOpened {
-		t.Fatal("empty left side materialized the NL right side")
+}
+
+// rootvResult starts the paper's Q1 view the way Mediator.Open runs it:
+// rewritten, pushed down, and with the window pinned at one row.
+func rootvResult(t *testing.T, cat *source.Catalog) *Result {
+	t.Helper()
+	tr, err := translate.Translate(xquery.MustParse(workload.Q1), "rootv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, _, err := rewrite.Optimize(tr.Plan, rewrite.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan, err = sqlgen.Push(plan, cat); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := CompileWith(plan, cat, Options{BatchExec: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog.Run()
+}
+
+// TestNavigationShipsOnDemand pins the laziness contract of navigation
+// sessions (window 1) in the paper's own currency, source tuples shipped.
+// The counts are those of the tuple-at-a-time interpreter at commit 0a6d8cb,
+// the last one that had it; the k=1 browse is the browse1_shipped = 6 that
+// the retired BENCH_vector.json recorded at every window cap.
+func TestNavigationShipsOnDemand(t *testing.T) {
+	cat, db := workload.PaperCatalog()
+	rootvResult(t, cat).Root.Kids().Get(0)
+	if got := db.Stats().TuplesShipped; got != 1 {
+		t.Fatalf("open + one down on the paper DB shipped %d tuples, want 1", got)
+	}
+	// Browse k CustRecs of 300 customers x 5 orders: into the customer
+	// element and the first OrderInfo of each, then right to the next.
+	for _, tc := range []struct {
+		k       int
+		shipped int64
+	}{{1, 6}, {5, 26}, {15, 76}} {
+		cat, db := workload.ScaleCatalog(300, 5, 42)
+		kids := rootvResult(t, cat).Root.Kids()
+		for i := 0; i < tc.k; i++ {
+			rec, ok := kids.Get(i)
+			if !ok {
+				t.Fatalf("k=%d: only %d CustRecs", tc.k, i)
+			}
+			if c, ok := rec.Kids().Get(0); ok {
+				c.Kids().Get(0)
+			}
+			if oi, ok := rec.Kids().Get(1); ok {
+				oi.Kids().Get(0)
+			}
+			kids.Get(i + 1)
+		}
+		if got := db.Stats().TuplesShipped; got != tc.shipped {
+			t.Fatalf("browsing %d CustRecs shipped %d tuples, want %d", tc.k, got, tc.shipped)
+		}
 	}
 }
 

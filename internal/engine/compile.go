@@ -32,7 +32,7 @@ type Ctx struct {
 	partial *[]*source.SourceUnavailableError
 	// hints carries the program's per-scan analysis results (order
 	// observability, key constraints) to openCursor; nil unless the catalog
-	// holds a scan-aware coordinator document.
+	// holds a coordinator document.
 	hints map[*xmas.MkSrc]scanHint
 }
 
@@ -231,52 +231,33 @@ func compileMkSrc(o *xmas.MkSrc, cat *source.Catalog) (compiledOp, error) {
 	}, nil
 }
 
-// openCursor opens a source cursor, routing through source.BatchOpener when
-// the execution options request batched delivery and the source supports it
-// (remote mediators). Sources without batch support, or runs with default
-// options, take the plain Open path.
-//
-// Under Parallelism > 1, async-capable sources are opened in the background
-// instead (source.AsyncOpener): the open round trip and a bounded
-// read-ahead run on a producer goroutine, so distinct federated sources are
-// contacted concurrently. Parallel runs imply prefetch — overlapping source
-// access is their point — and register the cursor for force-close.
-//
-// Scan-aware coordinators (source.ScanOpener — sharded views) preempt all
-// of that: they receive the execution knobs plus the compile-time scan
-// hints (order observability, pushed key constraints) and decide fan-out,
-// merge order and member pruning themselves.
+// openCursor opens a source cursor, describing the scan to the document:
+// the execution's batching knobs, whether it runs in parallel, and the
+// compile-time scan hints. This is the one place that states "a parallel run
+// implies prefetch" — overlapping source access is its point. A scan without
+// analysis (fragments, raw Compile callers, catalogs with no coordinator)
+// has the zero hint: order assumed observable, no key constraints.
 func openCursor(ctx *Ctx, o *xmas.MkSrc, doc source.Doc) (source.ElemCursor, error) {
-	if so, ok := doc.(source.ScanOpener); ok {
-		h, hinted := ctx.hints[o]
-		cur, err := so.OpenScan(source.ScanOpts{
-			BatchSize: ctx.opts.BatchSize,
-			Prefetch:  ctx.opts.Prefetch || ctx.exec.parallel(),
-			Parallel:  ctx.exec.parallel(),
-			// Without analysis (fragments, raw Compile callers) order must
-			// be assumed observable.
-			Ordered: !hinted || h.ordered,
-			Keys:    h.keys,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if ctx.exec.parallel() {
-			ctx.exec.track(cur)
-		}
-		return cur, nil
+	par := ctx.exec.parallel()
+	h := ctx.hints[o]
+	cur, err := doc.Open(source.ScanOpts{
+		BatchSize: ctx.opts.BatchSize,
+		Prefetch:  ctx.opts.Prefetch || par,
+		Parallel:  par,
+		Unordered: h.unordered,
+		Keys:      h.keys,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if ctx.exec.parallel() {
-		if ao, ok := doc.(source.AsyncOpener); ok {
-			cur := ao.OpenAsync(ctx.opts.BatchSize, true)
-			ctx.exec.track(cur)
-			return cur, nil
+	if par {
+		// Only a cursor that owns goroutines can be force-closed from
+		// Result.Close; a plain one may be mid-Next on a producer goroutine.
+		if ac, ok := cur.(source.AsyncCursor); ok {
+			ctx.exec.track(ac)
 		}
 	}
-	if bo, ok := doc.(source.BatchOpener); ok && (ctx.opts.BatchSize != 0 || ctx.opts.Prefetch) {
-		return bo.OpenBatch(ctx.opts.BatchSize, ctx.opts.Prefetch)
-	}
-	return doc.Open()
+	return cur, nil
 }
 
 func compileNestedSrc(o *xmas.NestedSrc) (compiledOp, error) {
@@ -381,45 +362,8 @@ func compileGetD(o *xmas.GetD, cat *source.Catalog) (compiledOp, error) {
 		return nil, err
 	}
 	schema := o.Schema()
-	path := o.Path
 	return func(ctx *Ctx) Cursor {
-		input := in(ctx)
-		if capw := ctx.batchCap(); capw > 0 {
-			return newVecGetD(ctx, input, o, schema, capw)
-		}
-		var cur Tuple
-		var matches func() (*Elem, bool)
-		return cursorFunc(func() (Tuple, bool, error) {
-			for {
-				if matches != nil {
-					if e, ok := matches(); ok {
-						e = e.WithProv(&Provenance{
-							Var:   o.Out,
-							Fixed: []Fixation{{Var: o.Out, ID: e.ID}},
-						})
-						return cur.Extend(schema, NodeVal{E: e}), true, nil
-					}
-					matches = nil
-				}
-				t, ok, err := input.Next()
-				if err != nil || !ok {
-					return Tuple{}, false, err
-				}
-				cur = t
-				switch v := t.MustGet(o.From).(type) {
-				case NodeVal:
-					matches = ctx.pathMatches(v.E, path)
-				case ListVal:
-					// The rewrite rules (Table 2) produce paths like
-					// list.q over list-valued variables, treating the
-					// list as a virtual node labeled "list" — exactly
-					// the tree representation of Figure 5.
-					matches = pathStream(NewElem("", "list", v.L), path)
-				default:
-					continue
-				}
-			}
-		})
+		return newVecGetD(ctx, in(ctx), o, schema, ctx.opts.BatchExec)
 	}, nil
 }
 
@@ -494,40 +438,14 @@ func pathStream(root *Elem, path xmas.Path) func() (*Elem, bool) {
 // ---- filtering ----
 
 func compileSelect(o *xmas.Select, cat *source.Catalog) (compiledOp, error) {
-	// Fusion: a select over a cartesian join becomes the join's condition on
-	// the vectorized path, so the condition is evaluated inside the join's
-	// gather loop and non-matching pairs are never materialized into an
-	// output batch only to be filtered again. Left-major pair order is the
-	// same either way, so answers are byte-identical. The scalar path keeps
-	// the unfused select.
+	// Fusion: a select over a cartesian join becomes the join's condition, so
+	// it is evaluated inside the join's gather loop and non-matching pairs
+	// are never materialized into an output batch only to be filtered again.
+	// Left-major pair order is the same either way, so answers are
+	// byte-identical.
 	if j, ok := o.In.(*xmas.Join); ok && j.Cond == nil && fusableJoinCond(o.Cond, j) {
 		cc := o.Cond
-		fused, err := compileJoin(&xmas.Join{L: j.L, R: j.R, Cond: &cc}, cat)
-		if err != nil {
-			return nil, err
-		}
-		in, err := compile(o.In, cat)
-		if err != nil {
-			return nil, err
-		}
-		cond := o.Cond
-		return func(ctx *Ctx) Cursor {
-			if ctx.batchCap() > 0 {
-				return fused(ctx)
-			}
-			input := in(ctx)
-			return cursorFunc(func() (Tuple, bool, error) {
-				for {
-					t, ok, err := input.Next()
-					if err != nil || !ok {
-						return Tuple{}, false, err
-					}
-					if evalCond(cond, t) {
-						return t, true, nil
-					}
-				}
-			})
-		}, nil
+		return compileJoin(&xmas.Join{L: j.L, R: j.R, Cond: &cc}, cat)
 	}
 	in, err := compile(o.In, cat)
 	if err != nil {
@@ -535,21 +453,7 @@ func compileSelect(o *xmas.Select, cat *source.Catalog) (compiledOp, error) {
 	}
 	cond := o.Cond
 	return func(ctx *Ctx) Cursor {
-		input := in(ctx)
-		if capw := ctx.batchCap(); capw > 0 {
-			return newVecSelect(input, cond, capw)
-		}
-		return cursorFunc(func() (Tuple, bool, error) {
-			for {
-				t, ok, err := input.Next()
-				if err != nil || !ok {
-					return Tuple{}, false, err
-				}
-				if evalCond(cond, t) {
-					return t, true, nil
-				}
-			}
-		})
+		return newVecSelect(in(ctx), cond, ctx.opts.BatchExec)
 	}, nil
 }
 
@@ -623,48 +527,7 @@ func compileJoin(o *xmas.Join, cat *source.Catalog) (compiledOp, error) {
 			if ctx.exec.parallel() && (lAsync || rAsync) {
 				return newParHashJoin(ctx, left, right, schema, lv, rv, lAsync, rAsync)
 			}
-			if capw := ctx.batchCap(); capw > 0 {
-				return newVecHashJoin(ctx, left(ctx), func() Cursor { return right(ctx) }, schema, lv, rv, capw)
-			}
-			linput := left(ctx)
-			var table map[string][]Tuple
-			var matches []Tuple
-			var matchIdx int
-			var lt Tuple
-			return cursorFunc(func() (Tuple, bool, error) {
-				for {
-					if matchIdx < len(matches) {
-						rt := matches[matchIdx]
-						matchIdx++
-						return lt.Merge(schema, rt), true, nil
-					}
-					t, ok, err := linput.Next()
-					if err != nil || !ok {
-						return Tuple{}, false, err
-					}
-					lt = t
-					matches = nil
-					matchIdx = 0
-					// Build the hash table only once a probe tuple exists: an
-					// empty or failed left input must not pay the full
-					// right-source scan.
-					if table == nil {
-						rows, err := drain(right(ctx))
-						if err != nil {
-							return Tuple{}, false, err
-						}
-						table = map[string][]Tuple{}
-						for _, rt := range rows {
-							if a, ok := cmpKeyOf(rt.MustGet(rv)); ok {
-								table[normKey(a)] = append(table[normKey(a)], rt)
-							}
-						}
-					}
-					if a, ok := cmpKeyOf(t.MustGet(lv)); ok {
-						matches = table[normKey(a)]
-					}
-				}
-			})
+			return newVecHashJoin(ctx, left(ctx), func() Cursor { return right(ctx) }, schema, lv, rv, ctx.opts.BatchExec)
 		}, nil
 	}
 
@@ -672,47 +535,7 @@ func compileJoin(o *xmas.Join, cat *source.Catalog) (compiledOp, error) {
 		if ctx.exec.parallel() && (lAsync || rAsync) {
 			return newParNLJoin(ctx, left, right, schema, cond, lAsync, rAsync)
 		}
-		if capw := ctx.batchCap(); capw > 0 {
-			return newVecNLJoin(ctx, left(ctx), func() Cursor { return right(ctx) }, schema, cond, capw)
-		}
-		linput := left(ctx)
-		var rrows []Tuple
-		loaded := false
-		var lt Tuple
-		ri := 0
-		haveLeft := false
-		return cursorFunc(func() (Tuple, bool, error) {
-			for {
-				if !haveLeft {
-					t, ok, err := linput.Next()
-					if err != nil || !ok {
-						return Tuple{}, false, err
-					}
-					lt = t
-					ri = 0
-					haveLeft = true
-				}
-				// Same laziness as the hash path: materialize the right side
-				// only once a left tuple exists.
-				if !loaded {
-					rows, err := drain(right(ctx))
-					if err != nil {
-						return Tuple{}, false, err
-					}
-					rrows = rows
-					loaded = true
-				}
-				for ri < len(rrows) {
-					rt := rrows[ri]
-					ri++
-					merged := lt.Merge(schema, rt)
-					if cond == nil || evalCond(*cond, merged) {
-						return merged, true, nil
-					}
-				}
-				haveLeft = false
-			}
-		})
+		return newVecNLJoin(ctx, left(ctx), func() Cursor { return right(ctx) }, schema, cond, ctx.opts.BatchExec)
 	}, nil
 }
 
@@ -841,13 +664,8 @@ func stampElem(e *Elem, v xmas.Var) *Elem {
 	return e.WithProv(&Provenance{Var: v, Fixed: []Fixation{{Var: v, ID: e.ID}}})
 }
 
-// childList resolves a ChildSpec against a tuple into a lazy element list.
-func childList(spec xmas.ChildSpec, t Tuple) *LazyList[*Elem] {
-	return childListOf(spec, t.MustGet(spec.V))
-}
-
-// childListOf resolves a ChildSpec against the bound value directly (the
-// vectorized operators hold values columnarly, not as tuples).
+// childListOf resolves a ChildSpec against its bound value into a lazy
+// element list.
 func childListOf(spec xmas.ChildSpec, val Value) *LazyList[*Elem] {
 	if spec.Wrap {
 		if nv, ok := val.(NodeVal); ok {
@@ -881,28 +699,7 @@ func compileCrElt(o *xmas.CrElt, cat *source.Catalog) (compiledOp, error) {
 	}
 	schema := o.Schema()
 	return func(ctx *Ctx) Cursor {
-		input := in(ctx)
-		if capw := ctx.batchCap(); capw > 0 {
-			return newVecCrElt(input, o, schema, capw)
-		}
-		return cursorFunc(func() (Tuple, bool, error) {
-			t, ok, err := input.Next()
-			if err != nil || !ok {
-				return Tuple{}, false, err
-			}
-			args := make([]string, len(o.GroupVars))
-			fixed := make([]Fixation, len(o.GroupVars))
-			for i, g := range o.GroupVars {
-				key := orderKey(t.MustGet(g))
-				args[i] = key
-				fixed[i] = Fixation{Var: g, ID: key}
-			}
-			id := skolemID(o.Out, o.SkolemFn, args)
-			kids := childList(o.Children, t)
-			e := NewElem(id, o.Label, kids)
-			e.Prov = &Provenance{Var: o.Out, Fixed: fixed}
-			return t.Extend(schema, NodeVal{E: e}), true, nil
-		})
+		return newVecCrElt(in(ctx), o, schema, ctx.opts.BatchExec)
 	}, nil
 }
 
@@ -922,17 +719,7 @@ func compileCat(o *xmas.Cat, cat *source.Catalog) (compiledOp, error) {
 		} else {
 			input = in(ctx)
 		}
-		if capw := ctx.batchCap(); capw > 0 {
-			return newVecCat(input, o, schema, capw)
-		}
-		return cursorFunc(func() (Tuple, bool, error) {
-			t, ok, err := input.Next()
-			if err != nil || !ok {
-				return Tuple{}, false, err
-			}
-			l := Concat(childList(o.X, t), childList(o.Y, t))
-			return t.Extend(schema, ListVal{L: l}), true, nil
-		})
+		return newVecCat(input, o, schema, ctx.opts.BatchExec)
 	}, nil
 }
 
@@ -1101,27 +888,12 @@ func compileApply(o *xmas.Apply, cat *source.Catalog) (compiledOp, error) {
 	collectVar := td.V
 	schema := o.Schema()
 	return func(ctx *Ctx) Cursor {
-		input := in(ctx)
-		if capw := ctx.batchCap(); capw > 0 {
-			return newVecApply(ctx, input, o, nestedIn, collectVar, schema, capw)
-		}
-		return cursorFunc(func() (Tuple, bool, error) {
-			t, ok, err := input.Next()
-			if err != nil || !ok {
-				return Tuple{}, false, err
-			}
-			part, isSet := t.MustGet(o.InpVar).(SetVal)
-			if !isSet {
-				return Tuple{}, false, fmt.Errorf("engine: apply input %s is not a set", o.InpVar)
-			}
-			return t.Extend(schema, ListVal{L: applyList(ctx, o.InpVar, part, nestedIn, collectVar)}), true, nil
-		})
+		return newVecApply(ctx, in(ctx), o, nestedIn, collectVar, schema, ctx.opts.BatchExec)
 	}, nil
 }
 
 // applyList evaluates the nested plan over one partition and collects the
-// bindings of the collect variable into a lazy, id-deduplicated element list
-// — the body shared by the scalar and vectorized apply.
+// bindings of the collect variable into a lazy, id-deduplicated element list.
 func applyList(ctx *Ctx, inpVar xmas.Var, part SetVal, nestedIn compiledOp, collectVar xmas.Var) *LazyList[*Elem] {
 	nctx := ctx.withNested(inpVar, part)
 	var cur Cursor

@@ -279,7 +279,7 @@ func TestBadSQLErrorsAtNavigation(t *testing.T) {
 type failingDoc struct{ id string }
 
 func (d *failingDoc) RootID() string { return d.id }
-func (d *failingDoc) Open() (source.ElemCursor, error) {
+func (d *failingDoc) Open(source.ScanOpts) (source.ElemCursor, error) {
 	return &failingCursor{}, nil
 }
 

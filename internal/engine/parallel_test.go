@@ -122,9 +122,9 @@ type countingDoc struct {
 }
 
 func (d *countingDoc) RootID() string { return d.inner.RootID() }
-func (d *countingDoc) Open() (source.ElemCursor, error) {
+func (d *countingDoc) Open(opts source.ScanOpts) (source.ElemCursor, error) {
 	d.opens++
-	return d.inner.Open()
+	return d.inner.Open(opts)
 }
 
 // TestParallelEmptyLeftLaziness reproduces PR 2's empty-left guarantee under

@@ -18,9 +18,8 @@ type Options struct {
 	// SourceUnavailable annotation element per failed source, and
 	// Result.Err stays nil. Other errors always propagate.
 	PartialResults bool
-	// BatchSize asks batch-capable sources (source.BatchOpener — remote
-	// mediators) to deliver top-level children in batches of up to this
-	// size. 0 defers to each source's own default; 1 or negative forces one
+	// BatchSize asks batch-capable sources (remote mediators) to deliver
+	// top-level children in batches of up to this size. 0 defers to each source's own default; 1 or negative forces one
 	// round trip per child.
 	BatchSize int
 	// Prefetch asks batch-capable sources to keep one batch in flight ahead
@@ -40,11 +39,12 @@ type Options struct {
 	// DefaultExchangeBuffer; the knob matters most when a join's probe side
 	// should keep streaming while its build side drains.
 	ExchangeBuffer int
-	// BatchExec caps the columnar batch size of the vectorized operator
-	// path: select/join/cat/crElt/apply/getD move bindings in chunks of up
-	// to this many rows, growing 1→cap adaptively so the first answer still
-	// ships alone. 0 or 1 disables vectorization and reproduces the scalar
-	// demand-driven evaluation exactly.
+	// BatchExec is the window cap of the one operator path: getD, select,
+	// join, cat, crElt and apply move bindings in chunks of up to this many
+	// rows, growing 1→cap adaptively so the first answer still ships alone.
+	// 1 or less pins the window at one row — every pull ships exactly one
+	// more binding, which is what navigation sessions run with. Answers are
+	// byte-identical at every cap; it selects no interpreter.
 	BatchExec int
 	// PathIndex routes getD descendant steps over local XML sources through
 	// the catalog's dataguide label-path index (built lazily per document)

@@ -6,27 +6,28 @@ import (
 )
 
 // scanHint is what compile-time plan analysis knows about one document
-// scan, handed to source.ScanOpener documents (sharded views) at open time.
+// scan; openCursor copies it into the scan's source.ScanOpts.
 type scanHint struct {
-	// ordered reports the scan's child order can be observed in the final
-	// answer (xmas.OrderDemand on the mkSrc output variable).
-	ordered bool
+	// unordered reports the scan's child order cannot be observed in the
+	// final answer (xmas.OrderDemand on the mkSrc output variable).
+	unordered bool
 	// keys are equalities every delivered child must satisfy
-	// (xmas.ScanConstraints) — the coordinator's pruning input.
+	// (xmas.ScanConstraints) — a coordinator's pruning input.
 	keys []source.KeyConstraint
 }
 
 // analyzeScans runs the order-demand and key-constraint analyses over a
-// verified plan, but only when the catalog actually holds a ScanOpener
-// document — for ordinary catalogs the map stays nil and execution is
-// bit-for-bit the pre-shard code path.
+// verified plan, but only when the plan scans a coordinator document
+// (source.ShardCounter) — only a document that merges partitions reads
+// ScanOpts.Unordered and ScanOpts.Keys. For ordinary catalogs the map stays
+// nil and compilation pays nothing for it.
 func analyzeScans(plan xmas.Op, cat *source.Catalog) map[*xmas.MkSrc]scanHint {
 	var mks []*xmas.MkSrc
 	collectMkSrcs(plan, &mks)
 	relevant := false
 	for _, o := range mks {
 		if d, err := cat.Resolve(o.SrcID); err == nil {
-			if _, ok := d.(source.ScanOpener); ok {
+			if _, ok := d.(source.ShardCounter); ok {
 				relevant = true
 				break
 			}
@@ -39,7 +40,7 @@ func analyzeScans(plan xmas.Op, cat *source.Catalog) map[*xmas.MkSrc]scanHint {
 	consts := xmas.ScanConstraints(plan)
 	hints := make(map[*xmas.MkSrc]scanHint, len(mks))
 	for _, o := range mks {
-		h := scanHint{ordered: dem[o][o.Out]}
+		h := scanHint{unordered: !dem[o][o.Out]}
 		for _, k := range consts[o] {
 			h.keys = append(h.keys, source.KeyConstraint{Path: k.Path, Value: k.Value})
 		}

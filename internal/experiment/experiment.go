@@ -8,11 +8,7 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
-	"net"
-	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -20,12 +16,8 @@ import (
 	"mix/internal/engine"
 	"mix/internal/qdom"
 	"mix/internal/rewrite"
-	"mix/internal/source"
-	"mix/internal/wire"
 	"mix/internal/workload"
 	"mix/internal/xmas"
-	"mix/internal/xmlio"
-	"mix/internal/xtree"
 )
 
 // Table is one experiment's output.
@@ -358,364 +350,6 @@ RETURN $R`
 	}
 	return t
 }
-
-// ---- E19: vectorized execution, path index, binary wire codec ----
-
-// VectorResult is E19's machine-readable output (BENCH_vector.json): the
-// CPU-bound microbench times for the columnar batch path, the dataguide
-// index, and the bytes-on-wire comparison between the JSON and binary
-// codecs.
-type VectorResult struct {
-	JoinScalarMs   float64 `json:"join_scalar_ms"`
-	JoinVecMs      float64 `json:"join_vec_ms"`
-	JoinSpeedup    float64 `json:"join_speedup"`
-	SelectScalarMs float64 `json:"select_scalar_ms"`
-	SelectVecMs    float64 `json:"select_vec_ms"`
-	SelectSpeedup  float64 `json:"select_speedup"`
-	GetDWalkMs     float64 `json:"getd_walk_ms"`
-	GetDIndexMs    float64 `json:"getd_index_ms"`
-	GetDSpeedup    float64 `json:"getd_speedup"`
-	WireJSONBytes  int64   `json:"wire_json_bytes"`
-	WireBinBytes   int64   `json:"wire_binary_bytes"`
-	WireBinRatio   float64 `json:"wire_binary_over_json"`
-
-	// WindowSweep records the BatchExec window-cap sweep over the mediator
-	// workloads: the CPU-bound join microbench and a full E10-style query
-	// over the view per cap, plus the tuples a browse-1 ships (navigation
-	// sessions always run tuple-at-a-time, so this must not grow with the
-	// cap). BestWindow is the sweet spot by combined time among the
-	// vectorized caps; DefaultBatchExec is the window mix.Config bakes in
-	// as its zero-value default.
-	WindowSweep      []WindowPoint `json:"window_sweep,omitempty"`
-	BestWindow       int           `json:"best_window,omitempty"`
-	DefaultBatchExec int           `json:"default_batch_exec,omitempty"`
-}
-
-// WindowPoint is one BatchExec cap in the window sweep.
-type WindowPoint struct {
-	Window        int     `json:"window"`
-	JoinMs        float64 `json:"join_ms"`
-	ViewMs        float64 `json:"view_ms"`
-	BrowseShipped int64   `json:"browse1_shipped"`
-}
-
-// Check gates CI on the headline claims: the batch path must beat the
-// tuple-at-a-time interpreter by at least 5x on the CPU-bound join
-// microbench, and the negotiated binary codec must move fewer bytes than
-// JSON for the same session.
-func (r VectorResult) Check() error {
-	if r.JoinSpeedup < 5 {
-		return fmt.Errorf("vector check: join speedup %.2fx < 5x (scalar %.1fms, vec %.1fms)",
-			r.JoinSpeedup, r.JoinScalarMs, r.JoinVecMs)
-	}
-	// The select-over-product bench is gather-bound, not predicate-bound, so
-	// its ratio sits near 1x; the gate only catches a catastrophic batch-path
-	// regression without flaking on timing noise.
-	if r.SelectSpeedup < 0.7 {
-		return fmt.Errorf("vector check: vectorized select regressed vs scalar (%.1fms vs %.1fms)",
-			r.SelectVecMs, r.SelectScalarMs)
-	}
-	if r.WireBinBytes >= r.WireJSONBytes {
-		return fmt.Errorf("vector check: binary codec moved %d bytes, JSON %d", r.WireBinBytes, r.WireJSONBytes)
-	}
-	// Vectorization is on by default, so a browse-1 must ship exactly what
-	// the scalar interpreter ships at every window cap — navigation
-	// sessions execute tuple-at-a-time by design, and this gate is the
-	// regression fence on that contract.
-	for _, p := range r.WindowSweep {
-		if len(r.WindowSweep) > 0 && p.BrowseShipped != r.WindowSweep[0].BrowseShipped {
-			return fmt.Errorf("vector check: browse-1 shipped %d tuples at window %d, %d at window %d — batch overshoot",
-				p.BrowseShipped, p.Window, r.WindowSweep[0].BrowseShipped, r.WindowSweep[0].Window)
-		}
-	}
-	return nil
-}
-
-// WriteVectorJSON records the measured result with run metadata, in the
-// style of the other BENCH_*.json baselines.
-func WriteVectorJSON(path, workload string, r VectorResult) error {
-	doc := struct {
-		Suite    string       `json:"suite"`
-		Workload string       `json:"workload"`
-		Command  string       `json:"command"`
-		Date     string       `json:"date"`
-		Results  VectorResult `json:"results"`
-	}{
-		Suite:    "mixbench vector (E19)",
-		Workload: workload,
-		Command:  "go run ./cmd/mixbench -exp vector -check",
-		Date:     time.Now().Format("2006-01-02"),
-		Results:  r,
-	}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// numList builds <list> of n <item><v>value</v></item> children.
-func numList(prefix string, n int, val func(i int) int) *xtree.Node {
-	items := make([]*xtree.Node, n)
-	for i := range items {
-		items[i] = xtree.NewElem(xtree.ID(fmt.Sprintf("%s.%d", prefix, i)), "item",
-			xtree.NewElem(xtree.ID(fmt.Sprintf("%s.%d.v", prefix, i)), "v",
-				xtree.Text(strconv.Itoa(val(i)))))
-	}
-	return xtree.NewElem(xtree.ID(prefix), "list", items...)
-}
-
-// timePlan compiles and runs plan `runs` times under opts, returning the
-// total wall time and the first run's serialized answer (divergence check).
-func timePlan(plan xmas.Op, cat *source.Catalog, opts engine.Options, runs int) (time.Duration, string) {
-	var out string
-	start := time.Now()
-	for i := 0; i < runs; i++ {
-		prog, err := engine.CompileWith(plan, cat, opts)
-		must(err)
-		res := prog.Run()
-		m := res.Materialize()
-		must(res.Err())
-		if i == 0 {
-			out = xmlio.Serialize(m)
-		}
-	}
-	return time.Since(start), out
-}
-
-// srcOverPath is mkSrc → getD: bind every node reached by path from the
-// document's top-level elements (mkSrc ranges over the root's children, so
-// the path starts at their labels).
-func srcOverPath(srcID string, rootVar, outVar xmas.Var, path ...string) xmas.Op {
-	return &xmas.GetD{
-		In:   &xmas.MkSrc{SrcID: srcID, Out: rootVar},
-		From: rootVar,
-		Path: path,
-		Out:  outVar,
-	}
-}
-
-// wireSessionBytes runs one E15-style deep batched walk of the Q1 view over
-// an in-memory connection and returns the client's total bytes on the wire,
-// with or without the negotiated binary codec.
-func wireSessionBytes(nCustomers int, binaryCodec bool) int64 {
-	med := mediatorOver(nCustomers, 3, mix.Config{})
-	server, client := net.Pipe()
-	srv := wire.NewServer(med)
-	srv.BinaryWire = binaryCodec
-	go func() {
-		defer server.Close()
-		_ = srv.ServeConn(server)
-	}()
-	c := wire.NewClientConfig(client, wire.ClientConfig{BinaryWire: binaryCodec})
-	defer c.Close()
-	root, err := c.Open("rootv")
-	must(err)
-	node, err := root.DownScan(wire.ScanConfig{Deep: true})
-	must(err)
-	for node != nil {
-		_, err := node.Materialize()
-		must(err)
-		next, err := node.Right()
-		must(err)
-		must(node.Release())
-		node = next
-	}
-	must(root.Release())
-	st := c.WireStats()
-	if st.BinaryWire != binaryCodec {
-		panic(fmt.Sprintf("experiment: wire codec negotiation: binary=%v, want %v", st.BinaryWire, binaryCodec))
-	}
-	return st.BytesSent + st.BytesRecv
-}
-
-// Vectorized is experiment E19: the columnar batch path vs the
-// tuple-at-a-time interpreter on CPU-bound local operators, the dataguide
-// path index vs the label walk, and the binary wire codec vs JSON on a
-// deep batched view walk.
-func Vectorized(nJoin, runs int) (Table, VectorResult) {
-	var r VectorResult
-	t := Table{
-		Title: "E19 vectorized execution & wire codec",
-		Note: "batch path and path index must answer byte-identically to the scalar walk;\n" +
-			"the binary codec must move fewer bytes than JSON for the same session",
-		Header: []string{"microbench", "baseline", "optimized", "speedup"},
-	}
-
-	// CPU-bound NL join: every (left, right) pair is compared; the scalar
-	// interpreter re-parses both comparands per pair, the batch path
-	// pre-resolves each column once.
-	cat := source.NewCatalog()
-	cat.AddXMLDoc("&vl", numList("&vl", nJoin, func(i int) int { return i }))
-	cat.AddXMLDoc("&vr", numList("&vr", nJoin, func(i int) int {
-		if i == 0 {
-			return -1 // a single matching row keeps the join non-degenerate
-		}
-		return nJoin + i
-	}))
-	joinCond := xmas.NewVarVarCond("$lv", xtree.OpGT, "$rv")
-	joinPlan := &xmas.TD{
-		In: &xmas.Join{
-			L:    srcOverPath("&vl", "$L", "$lv", "item", "v"),
-			R:    srcOverPath("&vr", "$R", "$rv", "item", "v"),
-			Cond: &joinCond,
-		},
-		V: "$lv",
-	}
-	must(xmas.Verify(joinPlan))
-	scalarDur, scalarOut := timePlan(joinPlan, cat, engine.Options{}, runs)
-	vecDur, vecOut := timePlan(joinPlan, cat, engine.Options{BatchExec: 64}, runs)
-	if scalarOut != vecOut {
-		panic("experiment: vectorized join diverged from scalar")
-	}
-	r.JoinScalarMs = msF(scalarDur)
-	r.JoinVecMs = msF(vecDur)
-	r.JoinSpeedup = ratio(scalarDur, vecDur)
-	t.Rows = append(t.Rows, []string{
-		fmt.Sprintf("NL join %dx%d", nJoin, nJoin),
-		ms(scalarDur) + "ms", ms(vecDur) + "ms", speedup(r.JoinSpeedup),
-	})
-
-	// CPU-bound select: the same predicate evaluated over the cross product
-	// (a condition-less join), so selection work — not tuple materialization
-	// — dominates. The scalar interpreter merges and re-parses per pair; the
-	// batch path compares pre-resolved columns.
-	selPlan := &xmas.TD{
-		In: &xmas.Select{
-			In: &xmas.Join{
-				L: srcOverPath("&vl", "$L", "$lv", "item", "v"),
-				R: srcOverPath("&vr", "$R", "$rv", "item", "v"),
-			},
-			Cond: joinCond,
-		},
-		V: "$lv",
-	}
-	must(xmas.Verify(selPlan))
-	selScalar, selScalarOut := timePlan(selPlan, cat, engine.Options{}, runs)
-	selVec, selVecOut := timePlan(selPlan, cat, engine.Options{BatchExec: 64}, runs)
-	if selScalarOut != selVecOut {
-		panic("experiment: vectorized select diverged from scalar")
-	}
-	if selScalarOut != scalarOut {
-		panic("experiment: select-over-product diverged from the join")
-	}
-	r.SelectScalarMs = msF(selScalar)
-	r.SelectVecMs = msF(selVec)
-	r.SelectSpeedup = ratio(selScalar, selVec)
-	t.Rows = append(t.Rows, []string{
-		fmt.Sprintf("select over %d pairs", nJoin*nJoin),
-		ms(selScalar) + "ms", ms(selVec) + "ms", speedup(r.SelectSpeedup),
-	})
-
-	// getD over a bushy document: the walk explores every label-matching
-	// prefix chain, the dataguide jumps to the 1%% of chains that complete.
-	const fanout = 120
-	idxCat := source.NewCatalog()
-	outer := make([]*xtree.Node, fanout)
-	for i := range outer {
-		inner := make([]*xtree.Node, fanout)
-		for j := range inner {
-			id := fmt.Sprintf("&vp.%d.%d", i, j)
-			if j%100 == 0 {
-				inner[j] = xtree.NewElem(xtree.ID(id), "a",
-					xtree.NewElem(xtree.ID(id+".v"), "v", xtree.Text(strconv.Itoa(i*fanout+j))))
-			} else {
-				inner[j] = xtree.NewElem(xtree.ID(id), "a")
-			}
-		}
-		outer[i] = xtree.NewElem(xtree.ID(fmt.Sprintf("&vp.%d", i)), "a", inner...)
-	}
-	idxCat.AddXMLDoc("&vp", xtree.NewElem("&vp", "list", outer...))
-	pathPlan := &xmas.TD{In: srcOverPath("&vp", "$D", "$v", "a", "a", "v"), V: "$v"}
-	must(xmas.Verify(pathPlan))
-	pathRuns := runs * 40 // the probe is fast; repeat for a measurable window
-	walkDur, walkOut := timePlan(pathPlan, idxCat, engine.Options{}, pathRuns)
-	idxDur, idxOut := timePlan(pathPlan, idxCat, engine.Options{PathIndex: true}, pathRuns)
-	if walkOut != idxOut {
-		panic("experiment: path-index getD diverged from the walk")
-	}
-	r.GetDWalkMs = msF(walkDur)
-	r.GetDIndexMs = msF(idxDur)
-	r.GetDSpeedup = ratio(walkDur, idxDur)
-	t.Rows = append(t.Rows, []string{
-		fmt.Sprintf("getD list/a/a/v, %d chains", fanout*fanout),
-		ms(walkDur) + "ms", ms(idxDur) + "ms", speedup(r.GetDSpeedup),
-	})
-
-	// BatchExec window-cap sweep over the mediator workloads: the CPU-bound
-	// join microbench and a full E10-style query over the Q1 view, per cap,
-	// plus the tuples a browse-1 ships. Window 1 is the scalar interpreter.
-	// The browse column must not move with the cap: navigation sessions
-	// (Open) always execute tuple-at-a-time — that design is what made
-	// flipping vectorized execution on by default safe, and this sweep is
-	// the regression gate on it.
-	const sweepN, sweepOrders = 300, 5
-	const sweepQ = `FOR $R IN document(rootv)/CustRec RETURN $R`
-	for _, w := range []int{1, 8, 16, 32, 64, 128, 256} {
-		jd, jOut := timePlan(joinPlan, cat, engine.Options{BatchExec: w}, runs)
-		if jOut != scalarOut {
-			panic("experiment: window-sweep join diverged from scalar")
-		}
-		medV := mediatorOver(sweepN, sweepOrders, mix.Config{BatchExec: w})
-		start := time.Now()
-		docV, err := medV.Query(sweepQ)
-		must(err)
-		docV.Materialize()
-		must(docV.Err())
-		viewDur := time.Since(start)
-		docV.Close()
-
-		medB := mediatorOver(sweepN, sweepOrders, mix.Config{BatchExec: w})
-		medB.ResetStats()
-		docB, err := medB.Open("rootv")
-		must(err)
-		browse(docB, 1)
-		shipped := medB.Stats().TuplesShipped
-		docB.Close()
-
-		r.WindowSweep = append(r.WindowSweep, WindowPoint{
-			Window: w, JoinMs: msF(jd), ViewMs: msF(viewDur), BrowseShipped: shipped,
-		})
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("window cap %d", w),
-			fmt.Sprintf("join %sms", ms(jd)),
-			fmt.Sprintf("view %sms", ms(viewDur)),
-			fmt.Sprintf("browse-1 ships %d", shipped),
-		})
-	}
-	best := r.WindowSweep[1]
-	for _, p := range r.WindowSweep[1:] {
-		if p.JoinMs+p.ViewMs < best.JoinMs+best.ViewMs {
-			best = p
-		}
-	}
-	r.BestWindow = best.Window
-	r.DefaultBatchExec = mix.DefaultBatchExec
-
-	// Bytes on the wire for the same deep batched walk, JSON vs negotiated
-	// binary (the E15 scenario's transfer, re-measured under the codec).
-	r.WireJSONBytes = wireSessionBytes(200, false)
-	r.WireBinBytes = wireSessionBytes(200, true)
-	r.WireBinRatio = float64(r.WireBinBytes) / float64(r.WireJSONBytes)
-	t.Rows = append(t.Rows, []string{
-		"wire bytes, deep walk of 200 CustRec",
-		fmt.Sprintf("%dB json", r.WireJSONBytes),
-		fmt.Sprintf("%dB binary", r.WireBinBytes),
-		fmt.Sprintf("%.2fx", 1/r.WireBinRatio),
-	})
-	return t, r
-}
-
-func msF(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-func ratio(base, opt time.Duration) float64 {
-	if opt <= 0 {
-		return 0
-	}
-	return float64(base) / float64(opt)
-}
-
-func speedup(v float64) string { return fmt.Sprintf("%.1fx", v) }
 
 func itoa(v int) string { return fmt.Sprintf("%d", v) }
 

@@ -37,7 +37,7 @@ type Config struct {
 
 // Stats counts how scans were routed across the fleet.
 type Stats struct {
-	// Scans counts OpenScan calls (Open included).
+	// Scans counts Open calls.
 	Scans int64
 	// Pruned counts scans whose key constraints let the coordinator skip
 	// at least one member.
@@ -47,10 +47,10 @@ type Stats struct {
 }
 
 // Doc is a sharded virtual view: a source document whose top-level
-// children are partitioned across member documents by a Spec. It
-// implements source.ScanOpener, so the engine hands it scan context —
-// order observability, pushed key constraints, parallelism — and the
-// coordinator prunes members and picks a merge strategy from it.
+// children are partitioned across member documents by a Spec. It reads every
+// field of the source.ScanOpts the engine hands it — order observability,
+// pushed key constraints, parallelism — to prune members and pick a merge
+// strategy.
 type Doc struct {
 	id      string
 	spec    Spec
@@ -106,31 +106,33 @@ func (d *Doc) Members() []Member { return d.members }
 // ShardCount reports the fleet size to the cost model.
 func (d *Doc) ShardCount() int { return len(d.members) }
 
-// Open scans all members sequentially with an order-preserving merge — the
-// conservative path for callers without scan context.
-func (d *Doc) Open() (source.ElemCursor, error) {
-	return d.OpenScan(source.ScanOpts{Ordered: true})
-}
-
-// OpenScan fans the scan out across the members the key constraints cannot
+// Open fans the scan out across the members the key constraints cannot
 // rule out. With opts.Parallel (and a fan-out the cost model predicts to
 // win) every member gets a pump goroutine with a bounded window; otherwise
 // members are drained on the caller's goroutine. Ordered scans k-way merge
 // the member streams on the partition key, so the global document order is
 // reproduced exactly; unordered scans interleave deterministically
-// (round-robin), never by arrival timing.
-func (d *Doc) OpenScan(opts source.ScanOpts) (source.ElemCursor, error) {
+// (round-robin), never by arrival timing. The zero ScanOpts is the
+// conservative scan for callers without scan context: sequential, ordered,
+// every member.
+func (d *Doc) Open(opts source.ScanOpts) (source.ElemCursor, error) {
 	live := d.route(opts.Keys)
 	d.noteScan(live)
 	c := &fanCursor{
 		d:       d,
-		ordered: opts.Ordered,
+		ordered: !opts.Unordered,
 		stop:    make(chan struct{}),
 		state:   make([]supState, len(live)),
 		keys:    make([]string, len(live)),
 		heads:   make([]*xtree.Node, len(live)),
 	}
+	// Members see the execution knobs only: their own children are one
+	// ordered partition, and the key constraints were spent on routing.
+	mopts := source.ScanOpts{BatchSize: opts.BatchSize, Prefetch: opts.Prefetch, Parallel: opts.Parallel}
 	if opts.Parallel && len(live) > 1 && d.fanOutWins(len(live), opts.BatchSize) {
+		// The pump goroutine itself is the read-ahead, so the member is
+		// opened on it synchronously rather than behind another async layer.
+		mopts.Parallel = false
 		var sem chan struct{}
 		if d.fanout > 0 && d.fanout < len(live) {
 			sem = make(chan struct{}, d.fanout)
@@ -143,12 +145,12 @@ func (d *Doc) OpenScan(opts source.ScanOpts) (source.ElemCursor, error) {
 			}
 			c.sups = append(c.sups, p)
 			c.pumps = append(c.pumps, p)
-			c.startPump(p, opts, sem)
+			c.startPump(p, mopts, sem)
 		}
 		return c, nil
 	}
 	for _, m := range live {
-		c.sups = append(c.sups, &seqSupplier{m: m, opts: opts})
+		c.sups = append(c.sups, &seqSupplier{m: m, opts: mopts})
 	}
 	return c, nil
 }
@@ -298,21 +300,6 @@ func (d *Doc) memberErr(m Member, err error) error {
 	return fmt.Errorf("shard: member %s of %s: %w", m.ID, d.id, err)
 }
 
-// openMember opens one member's cursor with the scan's batching knobs. In
-// pump mode the pump goroutine itself is the read-ahead, so the member is
-// opened with a prefetching batch window rather than another async layer.
-func openMember(m Member, opts source.ScanOpts, inPump bool) (source.ElemCursor, error) {
-	if !inPump && opts.Parallel {
-		if ao, ok := m.Doc.(source.AsyncOpener); ok {
-			return ao.OpenAsync(opts.BatchSize, true), nil
-		}
-	}
-	if bo, ok := m.Doc.(source.BatchOpener); ok && (opts.BatchSize != 0 || opts.Prefetch || inPump) {
-		return bo.OpenBatch(opts.BatchSize, opts.Prefetch || inPump)
-	}
-	return m.Doc.Open()
-}
-
 type supState int
 
 const (
@@ -343,7 +330,7 @@ func (s *seqSupplier) next() (*xtree.Node, bool, error) {
 		return nil, false, nil
 	}
 	if s.cur == nil {
-		cur, err := openMember(s.m, s.opts, false)
+		cur, err := s.m.Doc.Open(s.opts)
 		if err != nil {
 			s.closed = true
 			return nil, false, err
@@ -410,6 +397,10 @@ type fanCursor struct {
 
 // Resilient marks the cursor as able to continue past member loss.
 func (c *fanCursor) Resilient() {}
+
+// Async marks the cursor as owning pump goroutines, so an abandoned parallel
+// execution force-closes it.
+func (c *fanCursor) Async() {}
 
 func (c *fanCursor) Next() (*xtree.Node, bool, error) {
 	if c.failed != nil {
@@ -525,7 +516,7 @@ func (c *fanCursor) startPump(p *pumpSupplier, opts source.ScanOpts, sem chan st
 				return
 			}
 		}
-		cur, err := openMember(p.m, opts, true)
+		cur, err := p.m.Doc.Open(opts)
 		if sem != nil {
 			<-sem
 		}

@@ -29,7 +29,7 @@ type localDoc struct {
 
 func (d *localDoc) RootID() string { return d.id }
 
-func (d *localDoc) Open() (source.ElemCursor, error) {
+func (d *localDoc) Open(source.ScanOpts) (source.ElemCursor, error) {
 	return &localCursor{d: d}, nil
 }
 
@@ -177,11 +177,11 @@ func TestOrderedMergeParity(t *testing.T) {
 	}
 	d, _ := fleet(t, 3, keys, shard.Config{})
 	for _, opts := range []source.ScanOpts{
-		{Ordered: true},
-		{Ordered: true, Parallel: true},
-		{Ordered: true, Parallel: true, BatchSize: 8, Prefetch: true},
+		{},
+		{Parallel: true},
+		{Parallel: true, BatchSize: 8, Prefetch: true},
 	} {
-		cur, err := d.OpenScan(opts)
+		cur, err := d.Open(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestUnorderedDeterministic(t *testing.T) {
 	var first []string
 	for run := 0; run < 3; run++ {
 		for _, par := range []bool{false, true} {
-			cur, err := d.OpenScan(source.ScanOpts{Parallel: par})
+			cur, err := d.Open(source.ScanOpts{Unordered: true, Parallel: par})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,7 +228,7 @@ func TestPruning(t *testing.T) {
 	keys := keyRange(30)
 	d, spec := fleet(t, 3, keys, shard.Config{})
 	target := "&" + keys[7]
-	cur, err := d.OpenScan(source.ScanOpts{Ordered: true, Keys: []source.KeyConstraint{{Value: target}}})
+	cur, err := d.Open(source.ScanOpts{Keys: []source.KeyConstraint{{Value: target}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestPruning(t *testing.T) {
 			break
 		}
 	}
-	cur, err = d.OpenScan(source.ScanOpts{Keys: []source.KeyConstraint{
+	cur, err = d.Open(source.ScanOpts{Unordered: true, Keys: []source.KeyConstraint{
 		{Value: target}, {Value: other},
 	}})
 	if err != nil {
@@ -278,7 +278,7 @@ func TestPruning(t *testing.T) {
 		t.Fatalf("conflicting constraints delivered %d children, want 0", len(got))
 	}
 	// Constraints on other paths must not prune.
-	cur, err = d.OpenScan(source.ScanOpts{Keys: []source.KeyConstraint{
+	cur, err = d.Open(source.ScanOpts{Unordered: true, Keys: []source.KeyConstraint{
 		{Path: []string{"customer", "name"}, Value: "x"},
 	}})
 	if err != nil {
@@ -313,7 +313,7 @@ func TestMemberLossResilience(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []bool{false, true} {
-		cur, err := d.OpenScan(source.ScanOpts{Ordered: true, Parallel: par})
+		cur, err := d.Open(source.ScanOpts{Parallel: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +337,7 @@ func TestMemberLossResilience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := d2.OpenScan(source.ScanOpts{Ordered: true})
+	cur, err := d2.Open(source.ScanOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestMemberLossResilience(t *testing.T) {
 func TestCloseJoinsPumps(t *testing.T) {
 	defer testleak.Check(t)()
 	d, _ := fleet(t, 4, keyRange(200), shard.Config{Fanout: 2, Window: 4})
-	cur, err := d.OpenScan(source.ScanOpts{Parallel: true})
+	cur, err := d.Open(source.ScanOpts{Unordered: true, Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,19 @@ import (
 // Asynchronous source access: OpenAhead moves a cursor's open call and a
 // bounded read-ahead onto a producer goroutine, so a federated plan touching
 // N sources pays max() of their connection latencies instead of their sum.
-// The engine wraps AsyncOpener implementations (wire.RemoteDoc, nested
-// federated documents) with it when an execution runs with Parallelism > 1.
+// Documents whose open is a round trip (wire.RemoteDoc, nested federated
+// documents) wrap themselves in it when a scan asks for ScanOpts.Parallel.
+
+// AsyncCursor marks cursors that own producer goroutines (OpenAhead, a shard
+// fan-out): Close may be called from another goroutine while Next is blocked,
+// and joins the producers. Under Parallelism > 1 the engine registers exactly
+// these for force-close when a result is abandoned; any other cursor is only
+// ever closed by the goroutine that pulls it.
+type AsyncCursor interface {
+	ElemCursor
+	// Async is a marker; it performs no work.
+	Async()
+}
 
 type aheadItem struct {
 	n   *xtree.Node
@@ -47,6 +58,9 @@ type aheadCursor struct {
 	done chan struct{}
 	once sync.Once
 }
+
+// Async marks the cursor as safe to force-close.
+func (a *aheadCursor) Async() {}
 
 func (a *aheadCursor) run(open func() (ElemCursor, error)) {
 	defer close(a.done)

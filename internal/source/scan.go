@@ -1,14 +1,5 @@
 package source
 
-// Scan-policy interfaces for documents whose top-level children live behind
-// a coordinator — today the sharded virtual views of internal/shard, which
-// fan a scan out across N member mediators. The engine describes what it
-// knows about a scan (order observability, pushed-down key constraints,
-// execution knobs) in ScanOpts; a ScanOpener uses that to prune members and
-// pick a merge strategy. Plain documents ignore all of this and keep the
-// Open/BatchOpener/AsyncOpener paths, so runs without a sharded source are
-// byte- and wire-identical to before these interfaces existed.
-
 // KeyConstraint is one equality the query applies to every top-level child
 // a scan delivers, extracted by the engine's plan analysis. Path == nil
 // constrains the child's object id (the decontextualized $v = &oid form);
@@ -19,32 +10,41 @@ type KeyConstraint struct {
 	Value string
 }
 
-// ScanOpts describes one scan of a document's top-level children.
+// ScanOpts is the one description of a scan that every Doc.Open receives:
+// the execution's batching and parallelism knobs plus what compile-time plan
+// analysis knows about the scan. Local documents ignore it; a remote
+// document batches, prefetches and opens in the background as asked; a
+// coordinator (the sharded views of internal/shard) also prunes members and
+// picks a merge strategy from it, and hands each member a ScanOpts derived
+// from its own. Whoever builds one from execution options sets Prefetch
+// whenever it sets Parallel (overlapping source access is the point of a
+// parallel run); documents read the two fields independently and never
+// re-derive that rule.
 type ScanOpts struct {
-	// BatchSize and Prefetch mirror the engine options handed to
-	// BatchOpener-capable sources.
+	// BatchSize caps one batch of children from a batch-capable source: 0
+	// means the source's own default, 1 or negative one round trip per
+	// child.
 	BatchSize int
-	Prefetch  bool
-	// Parallel reports that the execution runs with Parallelism > 1, so the
-	// opener may spawn producer goroutines; the returned cursor is then
-	// registered for force-close like any async cursor.
+	// Prefetch keeps one batch in flight ahead of consumption.
+	Prefetch bool
+	// Parallel reports that the execution runs with Parallelism > 1: a
+	// document whose open is worth moving off the consumer goroutine (remote
+	// mediators, nested federated documents) returns at once with a cursor
+	// whose connection setup and read-ahead run on a producer goroutine, so
+	// distinct sources are contacted concurrently, and a coordinator may
+	// spawn member pumps. Such a cursor is an AsyncCursor, which the engine
+	// registers for force-close.
 	Parallel bool
-	// Ordered reports that the relative order of the delivered children can
-	// be observed in the final answer (xmas.OrderDemand). When false the
-	// opener may deliver children in any deterministic order.
-	Ordered bool
-	// Keys are equalities every delivered child must satisfy; the opener
+	// Unordered reports that the relative order of the delivered children
+	// cannot be observed in the final answer (xmas.OrderDemand), so the
+	// document may deliver them in any deterministic order. The zero value
+	// is the safe one: callers without plan analysis get document order.
+	Unordered bool
+	// Keys are equalities every delivered child must satisfy; the document
 	// may use them to avoid contacting partitions that cannot match. They
 	// are a routing hint, never a filter: delivering non-matching children
 	// is harmless (the plan still filters), dropping matching ones is not.
 	Keys []KeyConstraint
-}
-
-// ScanOpener is implemented by coordinator documents that can exploit scan
-// context. The engine prefers OpenScan over every other open path when a
-// document implements it.
-type ScanOpener interface {
-	OpenScan(opts ScanOpts) (ElemCursor, error)
 }
 
 // ResilientCursor marks cursors that can keep delivering elements after
@@ -93,7 +93,9 @@ type ShardTransferReporter interface {
 
 // ShardCounter reports across how many partitions a coordinator document
 // fans a full scan out — the cost model divides the scan's critical-path
-// round trips by it.
+// round trips by it, and the engine takes it as the sign that the document
+// reads ScanOpts.Unordered and ScanOpts.Keys (only a document that merges
+// partitions has a use for them), so plans scanning one get the analysis.
 type ShardCounter interface {
 	ShardCount() int
 }

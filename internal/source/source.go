@@ -67,27 +67,11 @@ type ElemCursor interface {
 type Doc interface {
 	// RootID is the object id of the document root.
 	RootID() string
-	// Open returns a cursor over the root's children.
-	Open() (ElemCursor, error)
-}
-
-// BatchOpener is implemented by source documents that can deliver top-level
-// children in batches (wire.RemoteDoc): batchSize caps one batch (0 means
-// the source's own default; 1 or negative disables batching), and prefetch
-// keeps one batch in flight ahead of consumption. The engine prefers it
-// over Open when the execution options ask for batching.
-type BatchOpener interface {
-	OpenBatch(batchSize int, prefetch bool) (ElemCursor, error)
-}
-
-// AsyncOpener is implemented by source documents whose open itself is worth
-// moving off the consumer goroutine (remote mediators, nested federated
-// documents): OpenAsync returns immediately with a cursor whose connection
-// setup and read-ahead run on a producer goroutine. The engine prefers it
-// over BatchOpener/Open when the execution runs with Parallelism > 1, so
-// distinct federated sources are contacted concurrently.
-type AsyncOpener interface {
-	OpenAsync(batchSize int, prefetch bool) ElemCursor
+	// Open returns a cursor over the root's children. opts describes the
+	// scan; each document reads the fields it understands and ignores the
+	// rest, so the zero value is always a valid, sequential, ordered scan
+	// (see ScanOpts).
+	Open(opts ScanOpts) (ElemCursor, error)
 }
 
 // PathIndexed is implemented by source documents whose tree supports a
@@ -372,7 +356,7 @@ type xmlDoc struct {
 
 func (d *xmlDoc) RootID() string { return d.id }
 
-func (d *xmlDoc) Open() (ElemCursor, error) {
+func (d *xmlDoc) Open(ScanOpts) (ElemCursor, error) {
 	return &sliceCursor{items: d.root.Children}, nil
 }
 
@@ -416,7 +400,7 @@ func (d *relDoc) RootID() string { return d.id }
 // what source access costs when nothing has been pushed down — and rebuilds
 // tuple objects from rows as they are pulled. The scan routes through the
 // catalog's result cache when one is enabled.
-func (d *relDoc) Open() (ElemCursor, error) {
+func (d *relDoc) Open(ScanOpts) (ElemCursor, error) {
 	q := scanSQL(d.schema)
 	cur, err := d.cat.ExecRel(d.db, q)
 	if err != nil {

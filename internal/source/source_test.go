@@ -19,7 +19,7 @@ func TestCatalogResolveXML(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := d.Open()
+	cur, err := d.Open(source.ScanOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRelDocPipelinedShipping(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.ResetStats()
-	cur, err := d.Open()
+	cur, err := d.Open(source.ScanOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mix"
+	"mix/internal/source"
 	"mix/internal/testleak"
 	"mix/internal/wire"
 )
@@ -256,5 +257,64 @@ RETURN $R`)
 	// cursor pays.
 	if st.RequestsSent >= 40 {
 		t.Fatalf("federated batched scan took %d round trips", st.RequestsSent)
+	}
+}
+
+// TestRemoteDocScanOptsTable pins how RemoteDoc reads the three execution
+// fields of source.ScanOpts against what the three entry points it replaced
+// produced at commit 0a6d8cb — the plain open = (client-default batching, no
+// prefetch, synchronous), the batched open with (b, p) = (b, p, synchronous),
+// the async open with (b, p) = (b, p, producer goroutine) — observed from
+// outside as the children batches a 40-child drain costs: 0 unbatched; the
+// doubling ladder 1+2+4+8+8+8+8+1 at cap 8 (1+2+4+8+16+9 at the client's
+// default cap 64); 1+8+8+8+8+7 with prefetch, which jumps to the cap after
+// the first frame (1+39 at cap 64). The fields are independent: "a parallel
+// run implies prefetch" is stated once, by the engine, where it builds the
+// ScanOpts.
+func TestRemoteDocScanOptsTable(t *testing.T) {
+	for _, tc := range []struct {
+		opts    source.ScanOpts
+		batches int64
+		async   bool
+	}{
+		{source.ScanOpts{}, 6, false},
+		{source.ScanOpts{BatchSize: 8}, 8, false},
+		{source.ScanOpts{BatchSize: 8, Prefetch: true}, 6, false},
+		{source.ScanOpts{BatchSize: -1}, 0, false},
+		{source.ScanOpts{BatchSize: -1, Prefetch: true}, 0, false},
+		{source.ScanOpts{BatchSize: 8, Parallel: true}, 8, true},
+		{source.ScanOpts{BatchSize: 8, Prefetch: true, Parallel: true}, 6, true},
+		{source.ScanOpts{Prefetch: true, Parallel: true}, 2, true},
+	} {
+		c := dialFlat(t, flatMediator(t, 40), nil, wire.ClientConfig{})
+		root, err := c.Open("flatv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := wire.NewRemoteDoc("&remote", root).Open(tc.opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.opts, err)
+		}
+		if _, async := cur.(source.AsyncCursor); async != tc.async {
+			t.Fatalf("%+v: async cursor = %v, want %v", tc.opts, async, tc.async)
+		}
+		n := 0
+		for {
+			_, ok, err := cur.Next()
+			if err != nil {
+				t.Fatalf("%+v: %v", tc.opts, err)
+			}
+			if !ok {
+				break
+			}
+			n++
+		}
+		cur.Close()
+		if n != 40 {
+			t.Fatalf("%+v: scan delivered %d children, want 40", tc.opts, n)
+		}
+		if got := c.WireStats().BatchesFetched; got != tc.batches {
+			t.Fatalf("%+v: drain cost %d children batches, want %d", tc.opts, got, tc.batches)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"mix"
 	"mix/internal/faultnet"
+	"mix/internal/source"
 	"mix/internal/wire"
 	"mix/internal/workload"
 )
@@ -640,7 +641,7 @@ func TestFaultPartialBatchNoHandleLeak(t *testing.T) {
 	}
 	doc := wire.NewRemoteDoc("&remote", root)
 	for i := 0; i < 20; i++ {
-		cur, err := doc.OpenBatch(8, false)
+		cur, err := doc.Open(source.ScanOpts{BatchSize: 8})
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}

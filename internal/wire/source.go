@@ -76,35 +76,31 @@ func (d *RemoteDoc) TransferStats() source.TransferStats {
 }
 
 // Open implements source.Doc: a cursor over the remote root's children,
-// batched at the client's defaults.
-func (d *RemoteDoc) Open() (source.ElemCursor, error) { return d.OpenBatch(0, false) }
-
-// OpenAsync implements source.AsyncOpener: the remote open (a network round
-// trip) and a bounded read-ahead run on a producer goroutine, so a parallel
-// execution contacts distinct remote mediators concurrently — compounding
-// with the batched prefetch OpenBatch already does.
-func (d *RemoteDoc) OpenAsync(batchSize int, prefetch bool) source.ElemCursor {
-	return source.OpenAhead(func() (source.ElemCursor, error) {
-		return d.OpenBatch(batchSize, prefetch)
-	}, 16)
-}
-
-// OpenBatch implements source.BatchOpener: a cursor whose children arrive
-// in adaptive deep batches (each frame ships its subtree XML, so the
-// per-child materialize round trip disappears too). batchSize 0 takes the
-// client's configured batch size; 1 or negative falls back to one round
-// trip per step+materialize, today's exact behaviour. prefetch keeps one
-// batch in flight ahead of the engine's consumption.
-func (d *RemoteDoc) OpenBatch(batchSize int, prefetch bool) (source.ElemCursor, error) {
-	deep := batchSize == 0 && d.root.c.cfg.BatchSize > 1 || batchSize > 1
-	first, err := d.root.DownScan(ScanConfig{BatchSize: batchSize, Prefetch: prefetch, Deep: deep})
-	if err != nil {
-		return nil, &source.SourceUnavailableError{
-			Source: d.id,
-			Err:    fmt.Errorf("opening remote doc: %w", err),
+// which arrive in adaptive deep batches (each frame ships its subtree XML,
+// so the per-child materialize round trip disappears too). opts.BatchSize 0
+// takes the client's configured batch size; 1 or negative falls back to one
+// round trip per step+materialize. opts.Prefetch keeps one batch in flight
+// ahead of the engine's consumption. Under opts.Parallel the remote open (a
+// network round trip) and a bounded read-ahead run on a producer goroutine,
+// so a parallel execution contacts distinct remote mediators concurrently —
+// compounding with the batched prefetch. Order and key hints do not apply to
+// a single remote document.
+func (d *RemoteDoc) Open(opts source.ScanOpts) (source.ElemCursor, error) {
+	open := func() (source.ElemCursor, error) {
+		deep := opts.BatchSize == 0 && d.root.c.cfg.BatchSize > 1 || opts.BatchSize > 1
+		first, err := d.root.DownScan(ScanConfig{BatchSize: opts.BatchSize, Prefetch: opts.Prefetch, Deep: deep})
+		if err != nil {
+			return nil, &source.SourceUnavailableError{
+				Source: d.id,
+				Err:    fmt.Errorf("opening remote doc: %w", err),
+			}
 		}
+		return &remoteCursor{src: d.id, next: first}, nil
 	}
-	return &remoteCursor{src: d.id, next: first}, nil
+	if opts.Parallel {
+		return source.OpenAhead(open, 16), nil
+	}
+	return open()
 }
 
 type remoteCursor struct {

@@ -90,15 +90,16 @@ type Config struct {
 	// making their keys unreachable. 0 (the default) disables result
 	// caching: every pushed-down query ships to its source.
 	SourceCache int
-	// BatchExec caps the engine's columnar batch window: CPU-bound operators
-	// (select, join, cat, apply, getD) move bindings in chunks of up to this
-	// many rows, with an adaptive window that starts at one row so
+	// BatchExec is the window cap of the engine's operators — nothing else:
+	// getD, select, join, cat, crElt and apply move bindings in chunks of up
+	// to this many rows, with an adaptive window that starts at one row so
 	// first-answer latency stays lazy. 0 (the default) uses
 	// DefaultBatchExec for the full-answer entry points (Query, QueryFrom);
-	// navigation sessions started with Open always run tuple-at-a-time so
-	// browsing ships strictly on demand. 1 or negative forces the pure
-	// tuple-at-a-time interpreter everywhere. Answers are byte-identical
-	// either way.
+	// 1 or negative pins the window at one row there too. Navigation
+	// sessions started with Open always run with the window pinned at one
+	// row so browsing ships strictly on demand. Answers are byte-identical
+	// at every value. Nothing but the benchmark and tests sets it; it is
+	// scheduled for removal (ROADMAP item 3).
 	BatchExec int
 	// PathIndex builds a dataguide-style label-path index lazily over each
 	// registered XML source, turning getD descendant steps from subtree
@@ -117,11 +118,11 @@ type Config struct {
 	CostOpt bool
 }
 
-// DefaultBatchExec is the columnar batch window used when Config.BatchExec
-// is zero: the sweet spot of the E19 window sweep (BENCH_vector.json) —
-// larger windows stopped paying on the mediator workloads, smaller ones
-// gave back batch-path wins. Browse workloads are unaffected by the
-// default: navigation sessions (Open) always execute tuple-at-a-time.
+// DefaultBatchExec is the window cap used when Config.BatchExec is zero: the
+// sweet spot of the E19 window sweep (EXPERIMENTS.md) — larger windows
+// stopped paying on the mediator workloads, smaller ones gave back the
+// columnar wins. Browse workloads are unaffected by it: navigation sessions
+// (Open) always run with the window pinned at one row.
 const DefaultBatchExec = 64
 
 // Mediator integrates sources, maintains views, and serves QDOM documents.
@@ -577,12 +578,13 @@ func (v *View) originPlan() *compose.OriginPlan {
 // Open starts an execution of a registered view itself, returning its
 // virtual document (clients usually navigate here first, then refine).
 //
-// Navigation sessions always execute tuple-at-a-time, regardless of
-// Config.BatchExec: a client browsing a view pays source shipping strictly
-// on demand, and the vectorized window's read-ahead (it doubles 1→cap as
-// the consumer drains) would ship rows the client never looks at. The
-// window applies to the full-answer entry points (Query, QueryFrom), where
-// every row is demanded anyway.
+// Navigation sessions run the same operators as Query with the window
+// pinned at one row, regardless of Config.BatchExec: a client browsing a
+// view pays source shipping strictly on demand, and the adaptive window's
+// read-ahead (it doubles 1→cap as the consumer drains) would ship rows the
+// client never looks at — measured on the browse benchmark, 176.0 source
+// tuples per session instead of 67.5. The window applies to the full-answer
+// entry points (Query, QueryFrom), where every row is demanded anyway.
 func (m *Mediator) Open(viewName string) (*qdom.Document, error) {
 	v, ok := m.views[viewName]
 	if !ok {
@@ -591,7 +593,7 @@ func (m *Mediator) Open(viewName string) (*qdom.Document, error) {
 	return m.run(v.ComposePlan, v.ExecPlan, v.Tags, m.navOpts())
 }
 
-// navOpts is engineOpts with the vectorized window disabled — the execution
+// navOpts is engineOpts with the window pinned at one row — the execution
 // options for navigation sessions (Open), which ship on demand.
 func (m *Mediator) navOpts() engine.Options {
 	o := m.engineOpts()
@@ -601,11 +603,8 @@ func (m *Mediator) navOpts() engine.Options {
 
 func (m *Mediator) engineOpts() engine.Options {
 	batchExec := m.cfg.BatchExec
-	switch {
-	case batchExec == 0:
+	if batchExec == 0 {
 		batchExec = DefaultBatchExec
-	case batchExec < 0:
-		batchExec = 1 // engine semantics: 0/1 = tuple-at-a-time
 	}
 	return engine.Options{
 		PartialResults: m.cfg.PartialResults,

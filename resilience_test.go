@@ -26,8 +26,8 @@ type flakyDoc struct {
 
 func (d *flakyDoc) RootID() string { return d.inner.RootID() }
 
-func (d *flakyDoc) Open() (source.ElemCursor, error) {
-	cur, err := d.inner.Open()
+func (d *flakyDoc) Open(opts source.ScanOpts) (source.ElemCursor, error) {
+	cur, err := d.inner.Open(opts)
 	if err != nil {
 		return nil, err
 	}

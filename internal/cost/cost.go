@@ -469,7 +469,7 @@ func rangeTriple(cs relstore.ColStats, lit string) (lo, hi, v float64, ok bool) 
 		case relstore.TInt:
 			return float64(d.I), true
 		case relstore.TFloat:
-			return d.F, true
+			return d.F(), true
 		}
 		return 0, false
 	}

@@ -800,18 +800,25 @@ type presortedGroupCursor struct {
 	pending    Tuple
 	hasPending bool
 	done       bool
+	err        error // the input failed inside a partition; the next Next reports it
 	current    *LazyList[Tuple]
 }
 
 func (g *presortedGroupCursor) Next() (Tuple, bool, error) {
-	if g.done {
-		return Tuple{}, false, nil
-	}
 	// Finish the previous partition so the shared input cursor is
 	// positioned at the next group.
 	if g.current != nil {
 		g.current.Len()
 		g.current = nil
+	}
+	// A partition is a list and has nowhere to put an error: whether the
+	// consumer's navigation or the forcing above ran into it, the group and
+	// the tuples delivered so far stand, and the error ends the stream here.
+	if g.err != nil {
+		return Tuple{}, false, g.err
+	}
+	if g.done {
+		return Tuple{}, false, nil
 	}
 	var first Tuple
 	if g.hasPending {
@@ -840,10 +847,8 @@ func (g *presortedGroupCursor) Next() (Tuple, bool, error) {
 		}
 		t, ok, err := g.in.Next()
 		if err != nil || !ok {
-			g.done = g.done || !ok
-			if err != nil {
-				g.done = true
-			}
+			g.err = err
+			g.done = true
 			return Tuple{}, false
 		}
 		if t.Key(g.keys) != key {

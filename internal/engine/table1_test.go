@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"mix/internal/source"
 	"mix/internal/xmas"
 )
 
@@ -205,4 +207,65 @@ func TestFigure5BindingTree(t *testing.T) {
 	if !strings.HasPrefix(string(tree.Children[0].ID), "&b") {
 		t.Fatalf("binding node ids: %q", tree.Children[0].ID)
 	}
+}
+
+// TestPresortedGroupByDeliversThenFails: the input — in a pushed plan the rQ
+// cursor of a source — fails while a partition is open. A partition is a
+// list, so the failure cannot surface where it happens; the groups and the
+// partition tuples delivered so far stand, and the next Next returns the
+// typed error instead of a clean end. Whether the cursor itself forced the
+// partition or the consumer navigated into it makes no difference.
+func TestPresortedGroupByDeliversThenFails(t *testing.T) {
+	lost := &source.SourceUnavailableError{Source: "&db1", Err: errors.New("connection reset")}
+	failing := func() Cursor {
+		pulls := 0
+		in := orderedInput([][2]string{{"a", "1"}, {"a", "2"}, {"b", "3"}}, &pulls)
+		return cursorFunc(func() (Tuple, bool, error) {
+			if pulls == 3 {
+				return Tuple{}, false, lost
+			}
+			return in.Next()
+		})
+	}
+	wantErr := func(g Cursor, when string) {
+		t.Helper()
+		for i := 0; i < 2; i++ { // and it stays an error: never a clean end after it
+			_, ok, err := g.Next()
+			var unavailable *source.SourceUnavailableError
+			if ok || !errors.As(err, &unavailable) || unavailable.Source != "&db1" {
+				t.Fatalf("%s: Next = (%v, %v), want the source's typed error", when, ok, err)
+			}
+		}
+	}
+	group := func(g Cursor, key string) SetVal {
+		t.Helper()
+		tup, ok, err := g.Next()
+		if !ok || err != nil {
+			t.Fatalf("group %s: Next = (%v, %v)", key, ok, err)
+		}
+		if got, _ := atomOf(tup.MustGet("$G")); got != key {
+			t.Fatalf("group key = %q, want %q", got, key)
+		}
+		return tup.MustGet("$X").(SetVal)
+	}
+
+	// The cursor forces b's partition on the way to the next group.
+	g := presorted(failing())
+	a, b := group(g, "a"), group(g, "b")
+	wantErr(g, "forcing the open partition")
+	if a.Tuples.Len() != 2 || b.Tuples.Len() != 1 {
+		t.Fatalf("partitions hold %d and %d tuples, want 2 and 1", a.Tuples.Len(), b.Tuples.Len())
+	}
+
+	// The consumer navigates b's partition to its end first.
+	g = presorted(failing())
+	group(g, "a")
+	b = group(g, "b")
+	if _, ok := b.Tuples.Get(0); !ok {
+		t.Fatal("b's first tuple was delivered with its group")
+	}
+	if _, ok := b.Tuples.Get(1); ok {
+		t.Fatal("b has one tuple")
+	}
+	wantErr(g, "after navigating into the failure")
 }

@@ -84,3 +84,102 @@ func TestConcurrentMutationAndReaders(t *testing.T) {
 		t.Fatalf("Version = %d; want %d", db.Version(), want)
 	}
 }
+
+// TestLookupBesideWriter audits (under -race) the lazily built access path:
+// a writer keeps appending rows whose looked-up column is out of order, so
+// every reader that opens a scan extends the table's shared permutation,
+// while readers holding earlier scans keep searching the one they resolved —
+// or resolve theirs only after it has grown past their mark. Whatever the
+// interleaving, a lookup returns exactly the matching rows below its scan's
+// mark, in insertion order; and a join through sqlexec returns each of its
+// scans' rows once.
+func TestLookupBesideWriter(t *testing.T) {
+	db := relstore.NewDB("db1")
+	db.MustCreate(relstore.Schema{
+		Relation: "item",
+		Columns: []relstore.Column{
+			{Name: "id", Type: relstore.TInt},
+			{Name: "grp", Type: relstore.TString},
+		},
+		Key: []int{0},
+	})
+	const groups, rounds, readers = 7, 400, 4
+	insert := func(i int) {
+		db.MustInsert("item", relstore.Int(int64(i)), relstore.Str(string(rune('a'+(i*5)%groups))))
+	}
+	for i := 0; i < 10; i++ {
+		insert(i)
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 10; i < 10+rounds; i++ {
+			insert(i)
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var held []*relstore.Lookup // lookups of earlier scans, some never used yet
+			var marks []*relstore.Scan
+			for i := 0; i < rounds/4; i++ {
+				s, _ := db.Scan("item")
+				l, ok := s.Lookup(1)
+				if !ok {
+					t.Error("text column lost its lookup")
+					return
+				}
+				held, marks = append(held, l), append(marks, s)
+				pick := (i*3 + r) % len(held)
+				s, l = marks[pick], held[pick]
+				probe := relstore.Str(string(rune('a' + i%groups)))
+				var want []int64
+				for _, row := range s.Rows {
+					if relstore.Compare(row[1], probe) == 0 {
+						want = append(want, row[0].I)
+					}
+				}
+				m := l.Find(probe)
+				for k := 0; ; k++ {
+					row, ok := m.Next()
+					if !ok {
+						if k != len(want) {
+							t.Errorf("Find(%s) at mark %d: %d rows, want %d", probe.S, len(s.Rows), k, len(want))
+						}
+						break
+					}
+					if k >= len(want) || row[0].I != want[k] {
+						t.Errorf("Find(%s) at mark %d: row %d is id %d, want %v", probe.S, len(s.Rows), k, row[0].I, want)
+						break
+					}
+				}
+
+				cur, _, err := sqlexec.ExecSQL(db, "SELECT a.id, b.id FROM item a, item b WHERE a.grp = b.grp AND a.id = b.id")
+				if err != nil {
+					t.Errorf("query: %v", err)
+					return
+				}
+				n, last := 0, int64(-1)
+				for {
+					row, ok := cur.Next()
+					if !ok {
+						break
+					}
+					if row[0].I != row[1].I || row[0].I <= last {
+						t.Errorf("self-join row %v after id %d", row, last)
+					}
+					last = row[0].I
+					n++
+				}
+				cur.Close()
+				if n < 10 || int64(n) != last+1 {
+					t.Errorf("self-join returned %d rows ending at id %d", n, last)
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+}

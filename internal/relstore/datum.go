@@ -13,7 +13,10 @@ package relstore
 
 import (
 	"fmt"
+	"math"
 	"strconv"
+
+	"mix/internal/xtree"
 )
 
 // Type is a column type.
@@ -37,19 +40,24 @@ func (t Type) String() string {
 	}
 }
 
-// Datum is one typed value. The zero Datum is the empty string.
+// Datum is one typed value. The zero Datum is the empty string. It is 32
+// bytes — a float shares the integer's word — so that a three-column row
+// fits Go's 96-byte size class; every resident row and every cached result
+// row is made of these.
 type Datum struct {
 	Kind Type
-	I    int64
-	F    float64
+	I    int64 // the TInt value; the IEEE 754 bits of a TFloat, read through F
 	S    string
 }
+
+// F returns the value of a TFloat datum.
+func (d Datum) F() float64 { return math.Float64frombits(uint64(d.I)) }
 
 // Int makes an integer datum.
 func Int(v int64) Datum { return Datum{Kind: TInt, I: v} }
 
 // Float makes a float datum.
-func Float(v float64) Datum { return Datum{Kind: TFloat, F: v} }
+func Float(v float64) Datum { return Datum{Kind: TFloat, I: int64(math.Float64bits(v))} }
 
 // Str makes a string datum.
 func Str(v string) Datum { return Datum{Kind: TString, S: v} }
@@ -60,7 +68,7 @@ func (d Datum) String() string {
 	case TInt:
 		return strconv.FormatInt(d.I, 10)
 	case TFloat:
-		return strconv.FormatFloat(d.F, 'g', -1, 64)
+		return strconv.FormatFloat(d.F(), 'g', -1, 64)
 	default:
 		return d.S
 	}
@@ -99,10 +107,9 @@ func (d Datum) numeric() (float64, bool) {
 	case TInt:
 		return float64(d.I), true
 	case TFloat:
-		return d.F, true
+		return d.F(), true
 	default:
-		f, err := strconv.ParseFloat(d.S, 64)
-		return f, err == nil
+		return xtree.ParseNumber(d.S)
 	}
 }
 

@@ -128,7 +128,7 @@ func TestParseDatum(t *testing.T) {
 	if d, err := ParseDatum(TInt, "42"); err != nil || d.I != 42 {
 		t.Errorf("ParseDatum int: %v %v", d, err)
 	}
-	if d, err := ParseDatum(TFloat, "2.5"); err != nil || d.F != 2.5 {
+	if d, err := ParseDatum(TFloat, "2.5"); err != nil || d.F() != 2.5 {
 		t.Errorf("ParseDatum float: %v %v", d, err)
 	}
 	if d, err := ParseDatum(TString, "x"); err != nil || d.S != "x" {

@@ -17,30 +17,57 @@ const (
 
 // colStat is the live per-column accumulator. It is only ever touched under
 // the owning DB's exclusive mutation lock (Insert holds db.mu), so plain
-// fields are safe; readers get value copies via TableStats under the read
-// lock.
+// fields are safe; readers get value copies via TableStats and Scan under the
+// read lock.
 type colStat struct {
 	sketch   [ndvWords]uint64
 	min, max Datum
 	hasRange bool
+
+	// What Compare does on this column (see total), and whether some value
+	// arrived below an earlier one. Both only ever go from false to true.
+	sawNumber, sawText, sawNaN bool
+	unsorted                   bool
 }
 
 // note folds one value into the accumulator.
 func (c *colStat) note(d Datum) {
 	h := hashDatum(d) % ndvBits
 	c.sketch[h/64] |= 1 << (h % 64)
+	switch n, ok := d.numeric(); {
+	case !ok:
+		c.sawText = true
+	case n != n:
+		c.sawNaN = true
+	default:
+		c.sawNumber = true
+	}
 	if !c.hasRange {
 		c.min, c.max = d, d
 		c.hasRange = true
 		return
 	}
-	if Compare(d, c.min) < 0 {
-		c.min = d
-	}
-	if Compare(d, c.max) > 0 {
+	// A value above the maximum — every row of a table loaded in order — is
+	// not below the minimum.
+	switch cmp := Compare(d, c.max); {
+	case cmp > 0:
 		c.max = d
+	case cmp < 0:
+		c.unsorted = true
+		if Compare(d, c.min) < 0 {
+			c.min = d
+		}
 	}
 }
+
+// total reports whether Compare is a total preorder on the values seen so
+// far. It is one on numbers and on strings that do not parse as numbers, but
+// not on a mix of the two — a numeric-looking string compares numerically
+// with its like and lexicographically with the rest, so "10" < "10a" < "9" <
+// "10" — and not beside a NaN, which compares equal to every number. Sorting
+// and binary search are only meaningful on a total column, so only a total
+// column offers an access path or counts as ascending.
+func (c *colStat) total() bool { return !c.sawNaN && !(c.sawNumber && c.sawText) }
 
 // estimate returns the linear-counting NDV estimate, clamped to [1, rows].
 func (c *colStat) estimate(rows int64) int64 {
@@ -85,13 +112,8 @@ func hashDatum(d Datum) uint64 {
 	mix := func(b byte) { h = (h ^ uint64(b)) * prime }
 	mix(byte(d.Kind))
 	switch d.Kind {
-	case TInt:
-		v := uint64(d.I)
-		for i := 0; i < 8; i++ {
-			mix(byte(v >> (8 * i)))
-		}
-	case TFloat:
-		v := math.Float64bits(d.F)
+	case TInt, TFloat:
+		v := uint64(d.I) // a float's bits
 		for i := 0; i < 8; i++ {
 			mix(byte(v >> (8 * i)))
 		}

@@ -38,8 +38,16 @@ type Table struct {
 
 	// stats holds one accumulator per column (row counts fall out of
 	// len(Rows)). Mutated only under the owning DB's exclusive lock;
-	// snapshot through DB.TableStats.
+	// snapshot through DB.TableStats and DB.Scan.
 	stats []colStat
+	// keyUnordered is set by the first Insert whose key is not strictly above
+	// the previous row's; under the same lock as stats.
+	keyUnordered bool
+
+	// perms holds, per column, the sorted permutation behind Scan.Lookup on a
+	// column that does not ascend in insertion order; nil until first used.
+	permMu sync.Mutex
+	perms  []*permutation
 }
 
 // DB is one relational server: a named set of tables plus transfer counters.
@@ -57,8 +65,8 @@ type DB struct {
 
 	// version counts mutations (Create, Insert). The source result cache
 	// folds it into its keys, so any mutation makes every cached result for
-	// this server unreachable — O(1) invalidation with no sweep; stale
-	// entries age out of the LRU.
+	// this server unreachable — O(1) invalidation; the cache drops them when
+	// it next sees the new version.
 	version atomic.Int64
 }
 
@@ -83,7 +91,7 @@ func (db *DB) Create(s Schema) (*Table, error) {
 	if _, exists := db.tables[s.Relation]; exists {
 		return nil, fmt.Errorf("relstore: relation %s already exists", s.Relation)
 	}
-	t := &Table{Schema: s, stats: make([]colStat, len(s.Columns))}
+	t := &Table{Schema: s, stats: make([]colStat, len(s.Columns)), perms: make([]*permutation, len(s.Columns))}
 	db.tables[s.Relation] = t
 	db.version.Add(1)
 	return t, nil
@@ -116,12 +124,26 @@ func (db *DB) Insert(relation string, row []Datum) error {
 				relation, t.Schema.Columns[i].Name, t.Schema.Columns[i].Type, d.Kind)
 		}
 	}
+	if n := len(t.Rows); n > 0 && !t.keyUnordered {
+		t.keyUnordered = !keyBelow(t.Rows[n-1], row, t.Schema.Key)
+	}
 	t.Rows = append(t.Rows, row)
 	for i, d := range row {
 		t.stats[i].note(d)
 	}
 	db.version.Add(1)
 	return nil
+}
+
+// keyBelow reports whether row a's key is strictly below row b's, comparing
+// the key columns in order.
+func keyBelow(a, b []Datum, key []int) bool {
+	for _, k := range key {
+		if c := Compare(a[k], b[k]); c != 0 {
+			return c < 0
+		}
+	}
+	return false
 }
 
 // MustInsert is Insert that panics on error; for fixtures.

@@ -3,6 +3,7 @@ package source
 import (
 	"strconv"
 	"strings"
+	"sync"
 
 	"mix/internal/cache"
 	"mix/internal/relstore"
@@ -19,8 +20,12 @@ const maxCachedRows = 1 << 16
 // pushed-down SQL against the same store state is answered from memory
 // instead of being re-shipped. Keys are the server name, the server's
 // mutation version and the normalized SQL text, so any Create/Insert makes
-// every prior entry for that server unreachable (versioned invalidation —
-// stale entries age out of the LRU, nothing is swept).
+// every prior entry for that server unreachable (versioned invalidation). The
+// next open that sees the new version empties the cache: versions only grow,
+// so what it held can never be reached again, and left to age out of the LRU
+// the dead result sets of up to `entries` store states stay resident beside
+// a writer. (Entries of other servers go with them — the same catalog-wide
+// granularity as Catalog.DataVersion.)
 //
 // Only fully-consumed scans populate the cache: a cursor abandoned mid-scan
 // caches nothing, preserving the lazy cost model for queries that stop
@@ -28,11 +33,25 @@ const maxCachedRows = 1 << 16
 // untouched, which is exactly the saving the transfer counters measure.
 type ResultCache struct {
 	lru *cache.LRU[string, [][]relstore.Datum]
+
+	mu       sync.Mutex
+	versions map[string]int64 // per server, the version its entries were made under
 }
 
 // NewResultCache creates a cache holding at most entries result sets.
 func NewResultCache(entries int) *ResultCache {
-	return &ResultCache{lru: cache.NewLRU[string, [][]relstore.Datum](entries)}
+	return &ResultCache{lru: cache.NewLRU[string, [][]relstore.Datum](entries), versions: map[string]int64{}}
+}
+
+// dropSuperseded empties the cache if db has mutated since it was last seen.
+func (rc *ResultCache) dropSuperseded(db *relstore.DB) {
+	v := db.Version()
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if last, ok := rc.versions[db.Name]; ok && last != v {
+		rc.lru.Purge()
+	}
+	rc.versions[db.Name] = v
 }
 
 // Stats snapshots the hit/miss/eviction counters.
@@ -64,6 +83,7 @@ func normalizeSQL(sql string) string {
 // open returns a cursor over sql's result, from cache when the same
 // normalized query already ran against the same store version.
 func (rc *ResultCache) open(db *relstore.DB, sql string) (relstore.Cursor, error) {
+	rc.dropSuperseded(db)
 	k := rc.key(db, sql)
 	if rows, ok := rc.lru.Get(k); ok {
 		return &replayCursor{rows: rows}, nil

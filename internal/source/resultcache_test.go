@@ -93,6 +93,11 @@ func TestResultCacheVersionedInvalidation(t *testing.T) {
 	if st := rc.Stats(); st.Hits != 0 {
 		t.Fatalf("mutation did not invalidate: %+v", st)
 	}
+	// The result of the old version can never be asked for again; it must not
+	// stay resident until the LRU happens to push it out.
+	if st := rc.Stats(); st.Entries != 1 || st.Evictions != 0 {
+		t.Fatalf("after the mutation the cache holds %d entries (%d evictions); want only the fresh result", st.Entries, st.Evictions)
+	}
 	// The fresh result is cached under the new version.
 	rows = drain(t, mustOpen(t, rc, db, q))
 	if len(rows) != 3 {

@@ -1,8 +1,12 @@
 // Package sqlexec executes the sqlparse SQL subset against a relstore
-// database with a volcano-style iterator pipeline: scans with pushed-down
-// single-table filters, hash joins for equi-predicates (nested-loop joins
-// otherwise), residual filters, an optional blocking sort for ORDER BY,
-// projection, and streaming hash-based DISTINCT.
+// database with a volcano-style iterator pipeline: one join step per FROM
+// entry, which reaches its table through the store's equality lookup where a
+// "column = literal" or equi-join predicate allows it and by a filtered scan
+// (a nested loop, for a join) otherwise; residual filters; a blocking sort
+// for an ORDER BY, unless it names the strictly ascending keys of the leading
+// FROM entries, which is the order the pipeline delivers in anyway;
+// projection; and streaming hash-based DISTINCT. Nothing proportional to a
+// table is built or buffered unless that sort remains.
 //
 // Results are delivered through a relstore.Cursor so the mediator pulls rows
 // one at a time; every delivered row increments the server's shipped-tuple
@@ -75,9 +79,8 @@ func (c *countingCursor) Close() { c.closed = true }
 
 type binding struct {
 	alias  string
-	table  *relstore.Table
-	rows   [][]relstore.Datum // snapshot taken under the store lock at bind time
-	offset int                // position of this table's first column in the joined row
+	scan   *relstore.Scan // rows and access paths as of bind time
+	offset int            // position of this table's first column in the joined row
 }
 
 type planned struct {
@@ -85,6 +88,14 @@ type planned struct {
 	types []relstore.Type
 }
 
+// plan builds a left-deep pipeline in FROM order: one joinIter per FROM
+// entry, each reaching its table through the store's equality lookup when a
+// predicate "column = literal" or "column = column of an earlier entry"
+// offers one, and by scanning it otherwise. Either way an entry's rows come
+// in insertion order under each outer row, so the pipeline's output is
+// ordered by (position in the first table, position in the second, ...) —
+// which is what lets ordered drop an ORDER BY the stored order already
+// satisfies.
 func plan(db *relstore.DB, q *sqlparse.Select) (*planned, error) {
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("sqlexec: query has no FROM clause")
@@ -94,7 +105,10 @@ func plan(db *relstore.DB, q *sqlparse.Select) (*planned, error) {
 	seen := map[string]bool{}
 	offset := 0
 	for i, tr := range q.From {
-		t, ok := db.Table(tr.Relation)
+		// The scan fixes the rows this query sees: concurrent Inserts
+		// (producer goroutines under intra-query parallelism, writers beside a
+		// navigation session) append past its mark.
+		scan, ok := db.Scan(tr.Relation)
 		if !ok {
 			return nil, fmt.Errorf("sqlexec: unknown relation %s", tr.Relation)
 		}
@@ -102,106 +116,65 @@ func plan(db *relstore.DB, q *sqlparse.Select) (*planned, error) {
 			return nil, fmt.Errorf("sqlexec: duplicate alias %s", tr.Alias)
 		}
 		seen[tr.Alias] = true
-		// Rows are snapshotted under the store lock: concurrent Inserts
-		// (producer goroutines under intra-query parallelism) append to the
-		// live table, which the scan below must not observe mid-append.
-		rows, _ := db.RowsSnapshot(tr.Relation)
-		bindings[i] = binding{alias: tr.Alias, table: t, rows: rows, offset: offset}
-		offset += len(t.Schema.Columns)
+		bindings[i] = binding{alias: tr.Alias, scan: scan, offset: offset}
+		offset += len(scan.Schema.Columns)
 	}
 	res := &resolver{bindings: bindings}
 
-	// Classify predicates by the set of FROM entries they touch.
+	// A predicate is evaluated where the last FROM entry it mentions joins in
+	// (a predicate over literals alone, at the first).
 	type cpred struct {
 		pred   sqlparse.Pred
 		tables []int // indexes into bindings, sorted
+		at     int
 	}
-	var preds []cpred
-	for _, p := range q.Where {
+	preds := make([]cpred, len(q.Where))
+	for i, p := range q.Where {
 		ts, err := res.predTables(p)
 		if err != nil {
 			return nil, err
 		}
-		preds = append(preds, cpred{pred: p, tables: ts})
+		preds[i] = cpred{pred: p, tables: ts}
+		if len(ts) > 0 {
+			preds[i].at = ts[len(ts)-1]
+		}
 	}
 
-	// Per-table scans with pushed-down single-table predicates.
-	scans := make([]iter, len(bindings))
+	var current iter
 	for i, b := range bindings {
-		var filters []compiledPred
+		j := &joinIter{left: current, scan: b.scan}
 		for _, cp := range preds {
-			if len(cp.tables) == 1 && cp.tables[0] == i {
-				f, err := res.compileLocal(cp.pred, i)
+			if cp.at != i {
+				continue
+			}
+			if j.lookup == nil {
+				var err error
+				if j.lookup, j.probe, err = res.accessPath(cp.pred, i); err != nil {
+					return nil, err
+				}
+				if j.lookup != nil {
+					continue // the lookup is the predicate
+				}
+			}
+			if len(cp.tables) == 1 {
+				f, err := res.compile(cp.pred, b.offset)
 				if err != nil {
 					return nil, err
 				}
-				filters = append(filters, f)
+				j.local = append(j.local, f)
+			} else {
+				f, err := res.compile(cp.pred, 0)
+				if err != nil {
+					return nil, err
+				}
+				j.filters = append(j.filters, f)
 			}
 		}
-		scans[i] = &scanIter{rows: b.rows, filters: filters}
+		current = j
 	}
 
-	// Left-deep joins in FROM order.
-	current := scans[0]
-	joined := map[int]bool{0: true}
-	for i := 1; i < len(bindings); i++ {
-		// Find predicates that become evaluable once table i joins in, and
-		// among them an equi-join predicate to drive a hash join.
-		var applicable []compiledPred
-		var hashL, hashR func([]relstore.Datum) relstore.Datum
-		for _, cp := range preds {
-			if len(cp.tables) < 2 {
-				continue
-			}
-			touchesI := false
-			allAvailable := true
-			for _, t := range cp.tables {
-				if t == i {
-					touchesI = true
-				} else if !joined[t] {
-					allAvailable = false
-				}
-			}
-			if !touchesI || !allAvailable {
-				continue
-			}
-			f, err := res.compileJoined(cp.pred, i)
-			if err != nil {
-				return nil, err
-			}
-			if hashL == nil && cp.pred.Op == xtree.OpEQ && !cp.pred.Left.IsLit && !cp.pred.Right.IsLit {
-				lt, _ := res.exprTable(cp.pred.Left)
-				rt, _ := res.exprTable(cp.pred.Right)
-				var leftRef, rightRef sqlparse.ColRef
-				if lt == i {
-					leftRef, rightRef = cp.pred.Right.Col, cp.pred.Left.Col
-				} else if rt == i {
-					leftRef, rightRef = cp.pred.Left.Col, cp.pred.Right.Col
-				}
-				if leftRef.Column != "" {
-					lo, _, err1 := res.resolve(leftRef)
-					ro, _, err2 := res.resolve(rightRef)
-					if err1 == nil && err2 == nil {
-						lo, ro := lo, ro
-						hashL = func(row []relstore.Datum) relstore.Datum { return row[lo] }
-						// right side is indexed within table i's own row
-						riOff := ro - bindings[i].offset
-						hashR = func(row []relstore.Datum) relstore.Datum { return row[riOff] }
-						continue // handled by hash join itself
-					}
-				}
-			}
-			applicable = append(applicable, f)
-		}
-		if hashL != nil {
-			current = newHashJoin(current, scans[i], hashL, hashR, applicable)
-		} else {
-			current = newNestedLoopJoin(current, scans[i], applicable)
-		}
-		joined[i] = true
-	}
-
-	// ORDER BY (blocking sort on datum order).
+	// ORDER BY: a blocking sort on datum order, unless the pipeline's own
+	// order is the one asked for.
 	if len(q.OrderBy) > 0 {
 		keys := make([]int, len(q.OrderBy))
 		for i, c := range q.OrderBy {
@@ -211,7 +184,9 @@ func plan(db *relstore.DB, q *sqlparse.Select) (*planned, error) {
 			}
 			keys[i] = off
 		}
-		current = &sortIter{in: current, keys: keys}
+		if !ordered(bindings, keys) {
+			current = &sortIter{in: current, keys: keys}
+		}
 	}
 
 	// Projection.
@@ -233,6 +208,85 @@ func plan(db *relstore.DB, q *sqlparse.Select) (*planned, error) {
 	return &planned{it: current, types: outTypes}, nil
 }
 
+// ordered reports whether rows ordered by (position in the first FROM entry,
+// position in the second, ...) are thereby sorted on keys, the joined-row
+// offsets of an ORDER BY: when keys lists the key columns of the first one or
+// more FROM entries, in FROM order, and each of those keys ascends strictly
+// in insertion order. Position order is then key order on each of them, and
+// because no two rows of such a table share a key, rows that tie on keys are
+// exactly those that differ only in later entries — which the pipeline leaves
+// in the order a stable sort would.
+func ordered(bindings []binding, keys []int) bool {
+	k := 0
+	for _, b := range bindings {
+		if k == len(keys) {
+			break
+		}
+		if !b.scan.KeyAscending() {
+			return false
+		}
+		for _, kc := range b.scan.Schema.Key {
+			if k == len(keys) || keys[k] != b.offset+kc {
+				return false
+			}
+			k++
+		}
+	}
+	return k == len(keys)
+}
+
+// accessPath turns p into a lookup on FROM entry i when p equates one of its
+// columns with a literal or with a column of an earlier entry and the store
+// can search that column; probe yields the value to look up from the outer
+// row. A nil lookup means p stays a filter.
+func (r *resolver) accessPath(p sqlparse.Pred, i int) (*relstore.Lookup, func(outer []relstore.Datum) relstore.Datum, error) {
+	if p.Op != xtree.OpEQ {
+		return nil, nil, nil
+	}
+	for _, side := range [2][2]sqlparse.Expr{{p.Left, p.Right}, {p.Right, p.Left}} {
+		col, other := side[0], side[1]
+		if t, err := r.exprTable(col); err != nil {
+			return nil, nil, err
+		} else if t != i {
+			continue
+		}
+		if t, err := r.exprTable(other); err != nil {
+			return nil, nil, err
+		} else if t == i {
+			continue
+		}
+		off, typ, err := r.resolve(col.Col)
+		if err != nil {
+			return nil, nil, err
+		}
+		lookup, ok := r.bindings[i].scan.Lookup(off - r.bindings[i].offset)
+		if !ok {
+			return nil, nil, nil
+		}
+		if other.IsLit {
+			d := literal(other.Lit, typ)
+			return lookup, func([]relstore.Datum) relstore.Datum { return d }, nil
+		}
+		outerOff, _, err := r.resolve(other.Col)
+		if err != nil {
+			return nil, nil, err
+		}
+		return lookup, func(outer []relstore.Datum) relstore.Datum { return outer[outerOff] }, nil
+	}
+	return nil, nil, nil
+}
+
+// literal reads a literal as a value of the type of the column it is compared
+// with, falling back to a string (mirrors the loose typing of
+// xtree.CompareValues).
+func literal(lit string, typ relstore.Type) relstore.Datum {
+	d, err := relstore.ParseDatum(typ, lit)
+	if err != nil {
+		return relstore.Str(lit)
+	}
+	return d
+}
+
 // ---- name resolution ----
 
 type resolver struct {
@@ -246,12 +300,12 @@ func (r *resolver) resolve(c sqlparse.ColRef) (offset int, typ relstore.Type, er
 		if c.Qualifier != "" && b.alias != c.Qualifier {
 			continue
 		}
-		if idx := b.table.Schema.ColIndex(c.Column); idx >= 0 {
+		if idx := b.scan.Schema.ColIndex(c.Column); idx >= 0 {
 			if found >= 0 {
 				return 0, 0, fmt.Errorf("sqlexec: ambiguous column %s", c)
 			}
 			found = b.offset + idx
-			typ = b.table.Schema.Columns[idx].Type
+			typ = b.scan.Schema.Columns[idx].Type
 		}
 	}
 	if found < 0 {
@@ -270,7 +324,7 @@ func (r *resolver) exprTable(e sqlparse.Expr) (int, error) {
 		if e.Col.Qualifier != "" && b.alias != e.Col.Qualifier {
 			continue
 		}
-		if b.table.Schema.ColIndex(e.Col.Column) >= 0 {
+		if b.scan.Schema.ColIndex(e.Col.Column) >= 0 {
 			return i, nil
 		}
 	}
@@ -299,33 +353,19 @@ func (r *resolver) predTables(p sqlparse.Pred) ([]int, error) {
 // compiledPred evaluates a predicate over a row.
 type compiledPred func(row []relstore.Datum) bool
 
-// compileLocal compiles a predicate over a single table's own row (offsets
-// relative to that table).
-func (r *resolver) compileLocal(p sqlparse.Pred, tableIdx int) (compiledPred, error) {
-	return r.compile(p, r.bindings[tableIdx].offset)
-}
-
-// compileJoined compiles a predicate over the joined row; the right input of
-// the in-progress join occupies its global offsets already.
-func (r *resolver) compileJoined(p sqlparse.Pred, _ int) (compiledPred, error) {
-	return r.compile(p, 0)
-}
-
+// compile compiles a predicate over a row in which the joined row's offset
+// rebase sits at position 0: a FROM entry's offset for a predicate over that
+// table's own row, 0 for one over the joined row.
 func (r *resolver) compile(p sqlparse.Pred, rebase int) (compiledPred, error) {
 	getter := func(e sqlparse.Expr, other sqlparse.Expr) (func([]relstore.Datum) relstore.Datum, error) {
 		if e.IsLit {
-			var typ relstore.Type = relstore.TString
+			typ := relstore.TString
 			if !other.IsLit {
 				if _, t, err := r.resolve(other.Col); err == nil {
 					typ = t
 				}
 			}
-			d, err := relstore.ParseDatum(typ, e.Lit)
-			if err != nil {
-				// Fall back to string comparison (mirrors the loose typing
-				// of xtree.CompareValues).
-				d = relstore.Str(e.Lit)
-			}
+			d := literal(e.Lit, typ)
 			return func([]relstore.Datum) relstore.Datum { return d }, nil
 		}
 		off, _, err := r.resolve(e.Col)
@@ -366,157 +406,80 @@ func (r *resolver) compile(p sqlparse.Pred, rebase int) (compiledPred, error) {
 
 // ---- iterators ----
 
-type scanIter struct {
-	rows    [][]relstore.Datum
+// joinIter joins one FROM entry onto the rows produced so far. For each
+// outer row it takes the entry's rows either from the store's lookup — the
+// rows whose column equals the probe value — or, without one, all of them: a
+// nested loop. Both deliver in insertion order, local filters see the entry's
+// own row, filters the joined row. The first FROM entry has no left input and
+// joins onto a single empty row.
+type joinIter struct {
+	left iter // nil for the first FROM entry
+	scan *relstore.Scan
+
+	lookup  *relstore.Lookup // nil: scan every row
+	probe   func(outer []relstore.Datum) relstore.Datum
+	local   []compiledPred
 	filters []compiledPred
-	pos     int
+
+	outer   []relstore.Datum
+	inner   relstore.Matches
+	started bool
+	done    bool
 }
 
-func (s *scanIter) next() ([]relstore.Datum, bool) {
-outer:
-	for s.pos < len(s.rows) {
-		row := s.rows[s.pos]
-		s.pos++
-		for _, f := range s.filters {
-			if !f(row) {
-				continue outer
+func (j *joinIter) next() ([]relstore.Datum, bool) {
+	for !j.done {
+		if !j.started {
+			if j.left != nil {
+				outer, ok := j.left.next()
+				if !ok {
+					break
+				}
+				j.outer = outer
 			}
+			if j.lookup != nil {
+				j.inner = j.lookup.Find(j.probe(j.outer))
+			} else {
+				j.inner = j.scan.All()
+			}
+			j.started = true
 		}
-		return row, true
+		row, ok := j.nextInner()
+		if ok {
+			return row, true
+		}
+		j.started = false
+		j.done = j.left == nil
 	}
+	j.done = true
 	return nil, false
 }
 
-func (s *scanIter) reset() { s.pos = 0 }
-
-type nestedLoopJoin struct {
-	left, right iter
-	rightReset  func()
-	filters     []compiledPred
-	leftRow     []relstore.Datum
-	started     bool
-	done        bool
-}
-
-func newNestedLoopJoin(left iter, right iter, filters []compiledPred) iter {
-	j := &nestedLoopJoin{left: left, right: right, filters: filters}
-	if s, ok := right.(*scanIter); ok {
-		j.rightReset = s.reset
-	} else {
-		// Materialize the right side so it can be re-scanned.
-		var rows [][]relstore.Datum
-		for {
-			r, ok := right.next()
-			if !ok {
-				break
-			}
-			rows = append(rows, r)
-		}
-		s := &scanIter{rows: rows}
-		j.right = s
-		j.rightReset = s.reset
-	}
-	return j
-}
-
-func (j *nestedLoopJoin) next() ([]relstore.Datum, bool) {
-	if j.done {
-		return nil, false
-	}
+// nextInner returns the next joined row under the current outer row.
+func (j *joinIter) nextInner() ([]relstore.Datum, bool) {
+candidates:
 	for {
-		if !j.started {
-			lr, ok := j.left.next()
-			if !ok {
-				j.done = true
-				return nil, false
-			}
-			j.leftRow = lr
-			j.rightReset()
-			j.started = true
-		}
-		rr, ok := j.right.next()
+		rr, ok := j.inner.Next()
 		if !ok {
-			j.started = false
-			continue
-		}
-		row := make([]relstore.Datum, 0, len(j.leftRow)+len(rr))
-		row = append(row, j.leftRow...)
-		row = append(row, rr...)
-		pass := true
-		for _, f := range j.filters {
-			if !f(row) {
-				pass = false
-				break
-			}
-		}
-		if pass {
-			return row, true
-		}
-	}
-}
-
-type hashJoin struct {
-	left        iter
-	keyL        func([]relstore.Datum) relstore.Datum
-	table       map[string][][]relstore.Datum
-	filters     []compiledPred
-	leftRow     []relstore.Datum
-	matches     [][]relstore.Datum
-	matchIdx    int
-	built, done bool
-	buildRight  func() // lazily builds the hash table on first pull
-}
-
-func newHashJoin(left, right iter, keyL, keyR func([]relstore.Datum) relstore.Datum, filters []compiledPred) iter {
-	j := &hashJoin{left: left, keyL: keyL, filters: filters}
-	j.buildRight = func() {
-		j.table = map[string][][]relstore.Datum{}
-		for {
-			r, ok := right.next()
-			if !ok {
-				break
-			}
-			k := keyR(r).String()
-			j.table[k] = append(j.table[k], r)
-		}
-	}
-	return j
-}
-
-func (j *hashJoin) next() ([]relstore.Datum, bool) {
-	if j.done {
-		return nil, false
-	}
-	if !j.built {
-		j.buildRight()
-		j.built = true
-	}
-	for {
-		for j.matchIdx < len(j.matches) {
-			rr := j.matches[j.matchIdx]
-			j.matchIdx++
-			row := make([]relstore.Datum, 0, len(j.leftRow)+len(rr))
-			row = append(row, j.leftRow...)
-			row = append(row, rr...)
-			pass := true
-			for _, f := range j.filters {
-				if !f(row) {
-					pass = false
-					break
-				}
-			}
-			if pass {
-				return row, true
-			}
-		}
-		lr, ok := j.left.next()
-		if !ok {
-			j.done = true
 			return nil, false
 		}
-		j.leftRow = lr
-		j.matches = j.table[j.keyL(lr).String()]
-		j.matchIdx = 0
+		for _, f := range j.local {
+			if !f(rr) {
+				continue candidates
+			}
+		}
+		row := rr
+		if j.left != nil {
+			row = make([]relstore.Datum, 0, len(j.outer)+len(rr))
+			row = append(row, j.outer...)
+			row = append(row, rr...)
+		}
+		for _, f := range j.filters {
+			if !f(row) {
+				continue candidates
+			}
+		}
+		return row, true
 	}
 }
 

@@ -81,7 +81,7 @@ func TestNumericFilter(t *testing.T) {
 	}
 }
 
-func TestHashJoin(t *testing.T) {
+func TestEquiJoin(t *testing.T) {
 	rows := collect(t, testDB(), `SELECT c.name, o.orid FROM customer c, orders o WHERE c.id = o.cid`)
 	if len(rows) != 3 {
 		t.Fatalf("join rows = %v", rows)

@@ -30,8 +30,11 @@ import (
 // Push replaces every maximal SQL-translatable subplan with a relQuery
 // operator and upgrades group-bys fed by sorted relQuery output to the
 // presorted (stateless) implementation. Every generated query gets a
-// deterministic ORDER BY over the exported tuple keys, so pushed plans
-// deliver results in the same (key) order as the unpushed wrapper scans.
+// deterministic ORDER BY over the exported tuple keys, so a pushed plan
+// delivers its results in key order whatever order the source stores them
+// in. That is also the order of the unpushed wrapper scans — insertion order
+// — exactly when the relations were inserted in strictly ascending key
+// order; sqlexec then finds the ORDER BY already satisfied and does not sort.
 // The input plan is not mutated.
 func Push(plan xmas.Op, cat *source.Catalog) (xmas.Op, error) {
 	out := pushWalk(xmas.Clone(plan), cat)

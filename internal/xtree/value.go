@@ -78,13 +78,40 @@ func (op CmpOp) Flip() CmpOp {
 	}
 }
 
+// ParseNumber is strconv.ParseFloat(s, 64) as a test — the number and true,
+// or false where ParseFloat returns an error — without the two allocations
+// ParseFloat spends on the error of a string that is plainly not a number. A
+// Go float starts with a sign, a digit or a point, or is "nan", "inf" or
+// "infinity" in any case; anything else is rejected before ParseFloat sees
+// it. The test is exact: it turns away no string ParseFloat accepts.
+func ParseNumber(s string) (float64, bool) {
+	if len(s) == 0 {
+		return 0, false
+	}
+	switch c := s[0]; {
+	case c >= '0' && c <= '9', c == '+', c == '-', c == '.':
+	case c == 'n' || c == 'N':
+		if len(s) != len("nan") {
+			return 0, false
+		}
+	case c == 'i' || c == 'I':
+		if len(s) != len("inf") && len(s) != len("infinity") {
+			return 0, false
+		}
+	default:
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
+}
+
 // CompareValues compares two values from D. When both parse as numbers the
 // comparison is numeric, otherwise lexicographic — this mirrors the loosely
 // typed "string-like" constants of the paper's data model while still making
 // conditions like value < 500 behave as a user expects.
 func CompareValues(x, y string) int {
-	if fx, errx := strconv.ParseFloat(x, 64); errx == nil {
-		if fy, erry := strconv.ParseFloat(y, 64); erry == nil {
+	if fx, ok := ParseNumber(x); ok {
+		if fy, ok := ParseNumber(y); ok {
 			switch {
 			case fx < fy:
 				return -1

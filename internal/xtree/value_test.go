@@ -1,6 +1,9 @@
 package xtree
 
 import (
+	"math"
+	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -128,4 +131,41 @@ func itoa(v int) string {
 		b[i] = '-'
 	}
 	return string(b[i:])
+}
+
+// TestParseNumberIsParseFloat pins the fast path as exact: over strings built
+// from every byte a Go float can contain (and a few it cannot), ParseNumber
+// accepts exactly what strconv.ParseFloat accepts, with the same value.
+func TestParseNumberIsParseFloat(t *testing.T) {
+	cases := []string{"", "nan", "NaN", "nAn", "nano", "na", "+nan", "inf", "Inf", "INFINITY", "infinit", "infin",
+		"+inf", "-Infinity", "i", "n", "N1", "0x1p-2", "0X_1P0", "1_0", "1e999", "-1e-999", ".5", "5.", ".", "+", "-",
+		"C000001", "10a", "a10", " 1", "1 ", "١", "1e", "e1", "_1", "0b1", "0o7", "07"}
+	const alphabet = "0123456789+-.eEpPxX_nNaAiIfFtTyY Cc"
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		b := make([]byte, 1+rng.Intn(9))
+		for j := range b {
+			b[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		cases = append(cases, string(b))
+	}
+	for _, s := range cases {
+		want, err := strconv.ParseFloat(s, 64)
+		got, ok := ParseNumber(s)
+		if ok != (err == nil) {
+			t.Fatalf("ParseNumber(%q) ok = %v, ParseFloat err = %v", s, ok, err)
+		}
+		if ok && got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("ParseNumber(%q) = %v, ParseFloat = %v", s, got, want)
+		}
+	}
+}
+
+// TestCompareValuesTextDoesNotAllocate: two values that are plainly not
+// numbers are compared without ParseFloat building its two-allocation error.
+func TestCompareValuesTextDoesNotAllocate(t *testing.T) {
+	x, y := "C000001", "C000002"
+	if n := testing.AllocsPerRun(100, func() { CompareValues(x, y) }); n != 0 {
+		t.Fatalf("CompareValues(%q, %q) allocates %v times, want 0", x, y, n)
+	}
 }

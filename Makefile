@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race verify-static mixvet vet-fix-check bin/mixvet
+.PHONY: build test race bench-smoke verify-static mixvet vet-fix-check bin/mixvet
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench-smoke is CI's "Bench smoke" step: the benchmark command over all four
+# workloads, short, gated by its exit code (oracle, replay parity, teardown).
+bench-smoke:
+	bash bench/run.sh --workload all --seed 1 --seconds 3 --trace 1
 
 # One mixvet binary serves the tree run and the corpus smoke; go's build
 # cache makes the rebuild a no-op, and CI reuses the same path across steps.

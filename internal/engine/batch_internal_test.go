@@ -230,7 +230,7 @@ func rootvResult(t *testing.T, cat *source.Catalog) *Result {
 // sessions (window 1) in the paper's own currency, source tuples shipped.
 // The counts are those of the tuple-at-a-time interpreter at commit 0a6d8cb,
 // the last one that had it; the k=1 browse is the browse1_shipped = 6 that
-// the retired BENCH_vector.json recorded at every window cap.
+// E19's retired benchmark record (EXPERIMENTS.md) held at every window cap.
 func TestNavigationShipsOnDemand(t *testing.T) {
 	cat, db := workload.PaperCatalog()
 	rootvResult(t, cat).Root.Kids().Get(0)

@@ -11,6 +11,7 @@ import (
 
 	"mix"
 	"mix/internal/faultnet"
+	"mix/internal/relstore"
 	"mix/internal/source"
 	"mix/internal/wire"
 	"mix/internal/workload"
@@ -19,8 +20,14 @@ import (
 // paperMediator builds the stock test mediator (paper DB + rootv view).
 func paperMediator(t *testing.T) *mix.Mediator {
 	t.Helper()
+	return rootvMediator(t, workload.PaperDB())
+}
+
+// rootvMediator serves the Q1 view rootv over a customers/orders database.
+func rootvMediator(t *testing.T, db *relstore.DB) *mix.Mediator {
+	t.Helper()
 	med := mix.New()
-	med.AddRelationalSource(workload.PaperDB())
+	med.AddRelationalSource(db)
 	if err := med.AliasSource("&root1", "&db1.customer"); err != nil {
 		t.Fatal(err)
 	}

@@ -12,16 +12,23 @@ import (
 	"testing"
 	"time"
 
+	"mix"
 	"mix/internal/faultnet"
 	"mix/internal/testleak"
 	"mix/internal/wire"
+	"mix/internal/workload"
 )
 
 // limitedEndpoint builds a redialable endpoint whose server runs with the
 // given session limits, plus a fast retry hint so tests stay quick.
 func limitedEndpoint(t *testing.T, tune func(*wire.Server)) *endpoint {
 	t.Helper()
-	e := newEndpoint(paperMediator(t))
+	return limitedEndpointOver(t, paperMediator(t), tune)
+}
+
+func limitedEndpointOver(t *testing.T, med *mix.Mediator, tune func(*wire.Server)) *endpoint {
+	t.Helper()
+	e := newEndpoint(med)
 	e.srv.RetryAfter = 2 * time.Millisecond
 	tune(e.srv)
 	t.Cleanup(func() { _ = e.srv.Close() })
@@ -192,18 +199,20 @@ func TestSessionMemQuota(t *testing.T) {
 	waitDrained(t, e.srv)
 }
 
-// waitDrained polls until the server's outstanding-byte gauge reconciles to
-// zero (session goroutines race the assertion by a scheduling beat).
+// waitDrained is called once every client has closed: it polls until the
+// server has no live session and no node handle left and its
+// outstanding-byte gauge reconciles to zero (session goroutines race the
+// assertion by a scheduling beat).
 func waitDrained(t *testing.T, srv *wire.Server) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		st := srv.SessionStats()
-		if st.MemBytes == 0 {
+		st, handles := srv.SessionStats(), srv.LiveHandles()
+		if st.Live == 0 && st.MemBytes == 0 && handles == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("outstanding session bytes never drained: %+v", st)
+			t.Fatalf("server never drained: %d live handles, %+v", handles, st)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -280,52 +289,20 @@ func TestFaultRedialLandsOnEvictedSession(t *testing.T) {
 	}
 	_ = c.Close()
 	waitDrained(t, e.srv)
-	if h := e.srv.LiveHandles(); h != 0 {
-		t.Fatalf("%d live handles after close", h)
-	}
 }
 
-// TestStressEvictionVsNavigation races concurrent walking sessions against
-// an aggressive evictor: every client must finish its walk (resuming as
-// needed), and when the dust settles no handles and no outstanding bytes
-// survive — the double-free / lost-credit detector for the whole
-// eviction-resume path. Runs under -race in CI.
-func TestStressEvictionVsNavigation(t *testing.T) {
-	defer testleak.Check(t)()
-	e := limitedEndpoint(t, func(s *wire.Server) {
-		s.MaxSessions = 4
-		s.SessionIdle = time.Hour // evictions come from the hammer below
-	})
-	// Stop the eviction clock before the leak check above runs (defers are
-	// LIFO; Close is idempotent with the endpoint cleanup).
-	defer func() { _ = e.srv.Close() }()
-
-	stop := make(chan struct{})
-	var hammer sync.WaitGroup
-	hammer.Add(1)
-	go func() {
-		defer hammer.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				// Aggressive but not unwinnable: a 2ms idle bar evicts any
-				// session caught between ops while leaving one actively
-				// replaying a chance to make progress under -race slowdown.
-				e.srv.EvictIdle(2 * time.Millisecond)
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
-
-	const clients = 8
+// walkSessions runs clients concurrent sessions against e, released together:
+// each dials (redialing and resuming as needed), and rounds times opens
+// rootv, walks up to 20 of its children reading labels and releases the
+// root. Every session must finish its walks. A session that has opened its
+// first root waits for hold (nil: does not wait) before walking on.
+func walkSessions(t *testing.T, e *endpoint, clients, rounds int, hold <-chan struct{}) {
+	t.Helper()
+	start := make(chan struct{})
 	errs := make(chan error, clients)
-	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
-		wg.Add(1)
 		go func(i int) {
-			defer wg.Done()
+			<-start
 			cfg := fastCfg()
 			cfg.MaxRetries = 25 // deliberate eviction storm
 			cfg.Seed = int64(i) + 1
@@ -337,14 +314,17 @@ func TestStressEvictionVsNavigation(t *testing.T) {
 			}
 			c := wire.NewClientConfig(conn, cfg)
 			defer c.Close()
-			for round := 0; round < 3; round++ {
+			for round := 0; round < rounds; round++ {
 				root, err := c.Open("rootv")
 				if err != nil {
 					errs <- fmt.Errorf("client %d round %d open: %w", i, round, err)
 					return
 				}
+				if hold != nil && round == 0 {
+					<-hold
+				}
 				node, err := root.Down()
-				for node != nil && err == nil {
+				for step := 0; node != nil && err == nil && step < 20; step++ {
 					_ = node.Label()
 					node, err = node.Right()
 				}
@@ -360,22 +340,95 @@ func TestStressEvictionVsNavigation(t *testing.T) {
 			errs <- nil
 		}(i)
 	}
-	wg.Wait()
-	close(stop)
-	hammer.Wait()
+	close(start)
 	for i := 0; i < clients; i++ {
 		if err := <-errs; err != nil {
 			t.Error(err)
 		}
 	}
-	waitDrained(t, e.srv)
-	sst := e.srv.SessionStats()
-	if sst.MemBytes != 0 {
-		t.Fatalf("outstanding bytes after stress: %+v", sst)
-	}
-	if h := e.srv.LiveHandles(); h != 0 {
-		t.Fatalf("%d live handles after stress", h)
-	}
+}
+
+// TestStressEvictionVsNavigation races concurrent walking sessions against
+// eviction: every client must finish its walk (resuming as needed), and when
+// the dust settles no sessions, no handles and no outstanding bytes survive
+// — the double-free / lost-credit detector for the whole eviction-resume
+// path. Runs under -race in CI.
+func TestStressEvictionVsNavigation(t *testing.T) {
+	// An aggressive evictor against a few long-lived clients.
+	t.Run("hammer", func(t *testing.T) {
+		defer testleak.Check(t)()
+		e := limitedEndpoint(t, func(s *wire.Server) {
+			s.MaxSessions = 4
+			s.SessionIdle = time.Hour // evictions come from the hammer below
+		})
+		// Stop the eviction clock before the leak check above runs (defers
+		// are LIFO; Close is idempotent with the endpoint cleanup).
+		defer func() { _ = e.srv.Close() }()
+
+		stop := make(chan struct{})
+		var hammer sync.WaitGroup
+		hammer.Add(1)
+		go func() {
+			defer hammer.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					// Aggressive but not unwinnable: a 2ms idle bar evicts
+					// any session caught between ops while leaving one
+					// actively replaying a chance to make progress under
+					// -race slowdown.
+					e.srv.EvictIdle(2 * time.Millisecond)
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}()
+		walkSessions(t, e, 8, 3, nil)
+		close(stop)
+		hammer.Wait()
+		waitDrained(t, e.srv)
+	})
+
+	// Four times the session cap offered at once, the server's own eviction
+	// clock the only evictor: admission control has to act (typed busy,
+	// shedding), yet an overloaded mediator may only slow sessions down,
+	// never lose one, and must hold nothing once they are gone.
+	t.Run("200 sessions over a cap of 50", func(t *testing.T) {
+		defer testleak.Check(t)()
+		const sessions, maxSessions = 200, 50
+		med := rootvMediator(t, workload.ScaleDB("db1", 200, 5, 42))
+		e := limitedEndpointOver(t, med, func(s *wire.Server) {
+			s.MaxSessions = maxSessions
+			s.SessionIdle = 100 * time.Millisecond
+		})
+		defer func() { _ = e.srv.Close() }()
+
+		// Sessions keep the slots they were admitted to until the server
+		// has turned an arrival away or shed for one, so the cap is met
+		// however slowly the storm arrives (-race, a loaded host).
+		acted := make(chan struct{})
+		go func() {
+			defer close(acted)
+			for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if st := e.srv.SessionStats(); st.RejectedBusy+st.Shed > 0 {
+					return
+				}
+			}
+		}()
+		walkSessions(t, e, sessions, 1, acted)
+		waitDrained(t, e.srv)
+		st := e.srv.SessionStats()
+		if st.Accepted < sessions {
+			t.Fatalf("accepted %d < %d sessions, yet all completed: %+v", st.Accepted, sessions, st)
+		}
+		if st.RejectedBusy+st.Shed == 0 {
+			t.Fatalf("%d sessions over a cap of %d and admission control never acted: %+v", sessions, maxSessions, st)
+		}
+		if evicted := st.Shed + st.IdleEvicted + st.OpTimeEvicted; evicted > st.Accepted || st.Resumed > st.Accepted {
+			t.Fatalf("counters incoherent: %+v", st)
+		}
+	})
 }
 
 // scriptedListener feeds Serve a scripted sequence of accept results.
@@ -540,4 +593,3 @@ func TestLimitsOffParity(t *testing.T) {
 		}
 	}
 }
-

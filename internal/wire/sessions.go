@@ -165,6 +165,10 @@ func (s *Server) admit(sess *session, req *Request) bool {
 	if s.draining {
 		return false
 	}
+	// Idleness counts from admission, not from connect: a session whose
+	// first request arrived late must not be the next arrival's shed victim
+	// before that request has run.
+	sess.touch(s.now())
 	if req.Op == "resume" && req.Token != "" {
 		rec, ok := s.resumable[req.Token]
 		if ok && s.now().Sub(rec.retired) > s.resumeWindow() {

@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -162,24 +163,31 @@ func TestRemoteQuery(t *testing.T) {
 	}
 }
 
+// TestRemoteErrors: a request the mediator cannot serve — an unknown view,
+// query text that does not parse — comes back as an error Response, and the
+// connection goes on serving. The last query text once ran the parser off
+// the end of its tokens, a panic that took the serving process down.
 func TestRemoteErrors(t *testing.T) {
 	c, _ := startPair(t)
 	if _, err := c.Open("nosuchview"); err == nil {
 		t.Error("open of unknown view must fail")
 	}
-	if _, err := c.Query("FOR $C IN"); err == nil {
-		t.Error("bad query must fail")
-	}
-	// The connection survives errors.
-	if err := c.Ping(); err != nil {
-		t.Fatalf("connection broken after error: %v", err)
-	}
 	p0, err := c.Open("rootv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p0.QueryFrom("FOR"); err == nil {
-		t.Error("bad in-place query must fail")
+	for _, bad := range []string{"FOR", "FOR $C IN", "FOR $A IN document("} {
+		var srvErr *wire.ServerError
+		if _, err := c.Query(bad); !errors.As(err, &srvErr) {
+			t.Errorf("query %q = %v, want a *wire.ServerError", bad, err)
+		}
+		if _, err := p0.QueryFrom(bad); !errors.As(err, &srvErr) {
+			t.Errorf("queryFrom %q = %v, want a *wire.ServerError", bad, err)
+		}
+		// The connection survives errors.
+		if err := c.Ping(); err != nil {
+			t.Fatalf("connection broken after %q: %v", bad, err)
+		}
 	}
 }
 

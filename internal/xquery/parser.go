@@ -40,8 +40,17 @@ type parser struct {
 	predSeq int // fresh-variable counter for desugared path predicates
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) cur() token { return p.toks[p.pos] }
+
+// next consumes the current token; the trailing tokEOF is never consumed,
+// so cur stays in range however often a production asks for more input.
+func (p *parser) next() token {
+	t := p.toks[p.pos]
+	if p.pos < len(p.toks)-1 {
+		p.pos++
+	}
+	return t
+}
 
 func (p *parser) at(kind tokenKind) bool { return p.cur().kind == kind }
 

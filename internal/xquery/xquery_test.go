@@ -143,6 +143,7 @@ func TestParseErrors(t *testing.T) {
 		`FOR $C document(&d)/x RETURN $C`,  // missing IN
 		`FOR $C IN document(&d)/x`,         // missing RETURN
 		`FOR $C IN document(&d) RETURN $C`, // document without path
+		`FOR $A IN document(`,              // input ends inside document(...)
 		`FOR $C IN document(&d)/x WHERE RETURN $C`,      // empty WHERE
 		`FOR $C IN document(&d)/x RETURN <a>$C</b>`,     // mismatched tags
 		`FOR $C IN document(&d)/x WHERE $C/v RETURN $C`, // condition without operator

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mix"
+	"mix/internal/relstore"
 	"mix/internal/workload"
 )
 
@@ -13,8 +14,15 @@ import (
 // view registered as "rootv".
 func paperMediator(t *testing.T, cfg mix.Config) *mix.Mediator {
 	t.Helper()
+	return rootvMediator(t, workload.PaperDB(), cfg)
+}
+
+// rootvMediator builds a mediator over a customers/orders database named db1
+// with the Q1 view registered as "rootv".
+func rootvMediator(t *testing.T, db *relstore.DB, cfg mix.Config) *mix.Mediator {
+	t.Helper()
 	med := mix.NewWith(cfg)
-	med.AddRelationalSource(workload.PaperDB())
+	med.AddRelationalSource(db)
 	if err := med.AliasSource("&root1", "&db1.customer"); err != nil {
 		t.Fatal(err)
 	}
@@ -683,17 +691,7 @@ func TestScaleSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale smoke test")
 	}
-	med := mix.New()
-	med.AddRelationalSource(workload.ScaleDB("db1", 10_000, 3, 42))
-	if err := med.AliasSource("&root1", "&db1.customer"); err != nil {
-		t.Fatal(err)
-	}
-	if err := med.AliasSource("&root2", "&db1.orders"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := med.DefineView("rootv", workload.Q1); err != nil {
-		t.Fatal(err)
-	}
+	med := rootvMediator(t, workload.ScaleDB("db1", 10_000, 3, 42), mix.Config{})
 	doc, err := med.Query(`
 FOR $R IN document(rootv)/CustRec
     $S IN $R/OrderInfo

@@ -3,7 +3,6 @@ package mix_test
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"testing"
@@ -17,19 +16,19 @@ import (
 	"mix/internal/workload"
 )
 
-// buildShardFleet stands up a 3-shard wire fleet over the scale database
-// partitioned on customer id: three lower mediators each serve their slice
-// through a view, the upper mediator mounts them as one sharded source
-// "&fleet". Shard failShard's connection dies for good after closeAfter
-// bytes — a member mediator lost mid-query, with no redial. Returns the
-// upper mediator and the per-shard customer counts.
-func buildShardFleet(t *testing.T, cfg mix.Config, failShard int, closeAfter int64) (*mix.Mediator, []int) {
+// buildShardFleet stands up a k-shard wire fleet over n customers of the
+// scale database partitioned on customer id: k lower mediators each serve
+// their slice through a view, the upper mediator mounts them as one sharded
+// source "&fleet". fault configures the injector on each shard's connection
+// (the zero Config injects nothing); there is no redial. Returns the upper
+// mediator, the coordinator document and the per-shard customer counts.
+func buildShardFleet(t *testing.T, cfg mix.Config, k, n int, fault func(shard int) faultnet.Config) (*mix.Mediator, *shard.Doc, []int) {
 	t.Helper()
-	spec := shard.Spec{Mode: shard.ModeHash, N: 3, KeyPath: []string{"customer", "id"}}
+	spec := shard.Spec{Mode: shard.ModeHash, N: k, KeyPath: []string{"customer", "id"}}
 	var members []shard.Member
-	counts := make([]int, 3)
-	for i := 0; i < 3; i++ {
-		slice := workload.ShardScaleDB("db1", 120, 1, 42, spec, i)
+	counts := make([]int, k)
+	for i := 0; i < k; i++ {
+		slice := workload.ShardScaleDB("db1", n, 1, 42, spec, i)
 		rows, _ := slice.RowsSnapshot("customer")
 		counts[i] = len(rows)
 		lower := mix.New()
@@ -44,11 +43,7 @@ func buildShardFleet(t *testing.T, cfg mix.Config, failShard int, closeAfter int
 			defer server.Close()
 			_ = srv.ServeConn(server)
 		}()
-		var conn io.ReadWriteCloser = client
-		if i == failShard {
-			conn = faultnet.Wrap(client, faultnet.Config{CloseAfterBytes: closeAfter})
-		}
-		c := wire.NewClientConfig(conn, wire.ClientConfig{
+		c := wire.NewClientConfig(faultnet.Wrap(client, fault(i)), wire.ClientConfig{
 			OpTimeout:        2 * time.Second,
 			MaxRetries:       -1,
 			BreakerThreshold: -1,
@@ -62,10 +57,11 @@ func buildShardFleet(t *testing.T, cfg mix.Config, failShard int, closeAfter int
 		members = append(members, shard.Member{ID: id, Doc: wire.NewRemoteDoc("&fleet/"+id, root)})
 	}
 	med := mix.NewWith(cfg)
-	if _, err := med.AddShardedSource("&fleet", spec, members, shard.Config{}); err != nil {
+	doc, err := med.AddShardedSource("&fleet", spec, members, shard.Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return med, counts
+	return med, doc, counts
 }
 
 // TestShardMemberLossMidQuery kills one shard of a wire fleet mid-query. In
@@ -75,11 +71,18 @@ func buildShardFleet(t *testing.T, cfg mix.Config, failShard int, closeAfter int
 // children (plus whatever the dead shard delivered before the cut) and the
 // result carries exactly one SourceUnavailable annotation naming the shard.
 func TestShardMemberLossMidQuery(t *testing.T) {
+	// Shard 1's connection dies for good 1500 bytes into the scan.
+	lose1 := func(shard int) faultnet.Config {
+		if shard == 1 {
+			return faultnet.Config{CloseAfterBytes: 1500}
+		}
+		return faultnet.Config{}
+	}
 	const fail = 1
 	q := "FOR $C IN document(&fleet)/customer RETURN $C"
 
 	t.Run("fail-fast", func(t *testing.T) {
-		med, _ := buildShardFleet(t, mix.Config{}, fail, 1500)
+		med, _, _ := buildShardFleet(t, mix.Config{}, 3, 120, lose1)
 		doc, err := med.Query(q)
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +103,7 @@ func TestShardMemberLossMidQuery(t *testing.T) {
 	})
 
 	t.Run("partial", func(t *testing.T) {
-		med, counts := buildShardFleet(t, mix.Config{PartialResults: true}, fail, 1500)
+		med, _, counts := buildShardFleet(t, mix.Config{PartialResults: true}, 3, 120, lose1)
 		doc, err := med.Query(q)
 		if err != nil {
 			t.Fatal(err)
@@ -135,4 +138,69 @@ func TestShardMemberLossMidQuery(t *testing.T) {
 			t.Fatalf("dead shard's scan of %d children cannot have completed (got %d total)", counts[fail], real)
 		}
 	})
+}
+
+// TestShardFanOutLatencyBound is E21's gate. Every member connection carries
+// 2 ms of injected latency per I/O, so a scan's wall clock is round trips ×
+// latency: a 3-member fleet, one pump per member, must scan 120 customers at
+// least 2× faster than one member serving them all (best of 3), answer
+// byte-identically, and route a point query on the partition key to exactly
+// one member. Batches of 2 keep the scan at some 60 round trips against
+// little CPU, so the ratio (2.6× measured) is sleep-bound and holds under
+// -race and on a loaded host.
+func TestShardFanOutLatencyBound(t *testing.T) {
+	cfg := mix.Config{Parallelism: 8, BatchSize: 2, Prefetch: true}
+	slow := func(int) faultnet.Config {
+		return faultnet.Config{LatencyProb: 1, Latency: 2 * time.Millisecond}
+	}
+	scan := func(k int) (string, time.Duration) {
+		med, _, _ := buildShardFleet(t, cfg, k, 120, slow)
+		var answer string
+		var best time.Duration
+		for run := 0; run < 3; run++ {
+			start := time.Now()
+			doc, err := med.Query("FOR $C IN document(&fleet)/customer RETURN $C")
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := doc.Materialize()
+			if err := doc.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if wall := time.Since(start); best == 0 || wall < best {
+				best = wall
+			}
+			answer = mix.SerializeXML(m)
+		}
+		return answer, best
+	}
+	one, wall1 := scan(1)
+	three, wall3 := scan(3)
+	if one != three {
+		t.Fatal("1-member and 3-member fleets answered the scan differently")
+	}
+	t.Logf("scan of 120 customers at 2 ms latency: 1 member %v, 3 members %v (%.1fx)",
+		wall1, wall3, float64(wall1)/float64(wall3))
+	if wall1 < 2*wall3 {
+		t.Fatalf("3-member scan %v is not 2x faster than 1-member %v", wall3, wall1)
+	}
+
+	med, fleet, _ := buildShardFleet(t, cfg, 3, 240, slow)
+	doc, err := med.Query(`FOR $C IN document(&fleet)/customer WHERE $C/id/data() = "C000007" RETURN $C`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := doc.Materialize(); doc.Err() != nil || len(m.Children) != 1 {
+		t.Fatalf("point query: %d customers, err %v", len(m.Children), doc.Err())
+	}
+	st := fleet.Stats()
+	routed := 0
+	for _, n := range st.Routes {
+		if n > 0 {
+			routed++
+		}
+	}
+	if routed != 1 || st.Pruned == 0 {
+		t.Fatalf("point query on the partition key routed to %d members, pruned %d scans; want 1 member, pruned", routed, st.Pruned)
+	}
 }

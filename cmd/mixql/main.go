@@ -47,18 +47,17 @@ func main() {
 		costOpt = flag.Bool("cost-opt", false, "cost-based join reordering and cached-scan substitution")
 		costExp = flag.Bool("cost", false, "print the executable plan with per-operator cost estimates (EXPLAIN)")
 		remote  = flag.String("remote", "", "run against a mixserve at this address instead of in-process")
-		binWire = flag.Bool("binary-wire", false, "negotiate the binary wire codec (remote mode)")
 		shards  = flag.String("shards", "", "comma-separated mixserve shard addresses: mount the fleet as one sharded rootv view")
 		shardSp = flag.String("shard-spec", "", "fleet partitioning spec, e.g. hash:3@CustRec.customer.id (default hash:<K> on the key path)")
 	)
 	flag.Parse()
 
 	if *shards != "" {
-		runFleet(strings.Split(*shards, ","), *shardSp, *binWire, *stats, *asXML, readQuery())
+		runFleet(strings.Split(*shards, ","), *shardSp, *stats, *asXML, readQuery())
 		return
 	}
 	if *remote != "" {
-		runRemote(*remote, *binWire, *stats, readQuery())
+		runRemote(*remote, *stats, readQuery())
 		return
 	}
 
@@ -160,10 +159,9 @@ func readQuery() string {
 }
 
 // runRemote runs the query against a mixserve over the wire protocol and, with
-// -stats, prints the client's round-trip and bytes-on-wire counters — the
-// observable half of the binary-codec experiment.
-func runRemote(addr string, binWire, stats bool, query string) {
-	c, err := wire.DialConfig(addr, wire.ClientConfig{BinaryWire: binWire})
+// -stats, prints the client's round-trip and bytes-on-wire counters.
+func runRemote(addr string, stats bool, query string) {
+	c, err := wire.Dial(addr)
 	fail(err)
 	defer c.Close()
 	root, err := c.Query(query)
@@ -179,12 +177,8 @@ func runRemote(addr string, binWire, stats bool, query string) {
 		fail(err)
 		fmt.Fprintf(os.Stderr, "-- %d queries to sources, %d tuples shipped\n", received, shipped)
 		st := c.WireStats()
-		codec := "json"
-		if st.BinaryWire {
-			codec = "binary"
-		}
-		fmt.Fprintf(os.Stderr, "-- wire: %d round trips, %d B sent, %d B received (%s codec)\n",
-			st.RequestsSent, st.BytesSent, st.BytesRecv, codec)
+		fmt.Fprintf(os.Stderr, "-- wire: %d round trips, %d B sent, %d B received\n",
+			st.RequestsSent, st.BytesSent, st.BytesRecv)
 		ops := make([]string, 0, len(st.OpBytesSent))
 		for op := range st.OpBytesSent {
 			ops = append(ops, op)
@@ -202,7 +196,7 @@ func runRemote(addr string, binWire, stats bool, query string) {
 // per-shard wire breakdown is printed: round trips, bytes each way, breaker
 // state and routing counts per member, so a pruned point query is visible
 // as a single routed shard.
-func runFleet(addrs []string, specStr string, binWire, stats, asXML bool, query string) {
+func runFleet(addrs []string, specStr string, stats, asXML bool, query string) {
 	if specStr == "" {
 		specStr = fmt.Sprintf("hash:%d@CustRec.customer.id", len(addrs))
 	}
@@ -210,7 +204,7 @@ func runFleet(addrs []string, specStr string, binWire, stats, asXML bool, query 
 	fail(err)
 	var members []shard.Member
 	for i, addr := range addrs {
-		c, err := wire.DialConfig(strings.TrimSpace(addr), wire.ClientConfig{BinaryWire: binWire})
+		c, err := wire.Dial(strings.TrimSpace(addr))
 		fail(err)
 		defer c.Close()
 		root, err := c.Open("rootv")

@@ -52,7 +52,6 @@ func main() {
 		planCache   = flag.Int("plan-cache", 0, "memoized plans per pipeline stage (0 = plan caching off)")
 		srcCache    = flag.Int("source-cache", 0, "memoized relational result sets (0 = result caching off)")
 		pathIndex   = flag.Bool("path-index", false, "dataguide label-path index for getD over local XML sources")
-		binaryWire  = flag.Bool("binary-wire", false, "accept the negotiated binary wire codec from capable clients")
 
 		maxSessions = flag.Int("max-sessions", 0, "admitted session cap; above it new connections get a typed busy response (0 = unlimited)")
 		sessionIdle = flag.Duration("session-idle", 0, "evict sessions idle longer than this, leaving a resumable token (0 = never)")
@@ -108,7 +107,6 @@ func main() {
 	srv.SessionMem = *sessionMem
 	srv.SessionOpTime = *sessionOp
 	srv.RetryAfter = *retryAfter
-	srv.BinaryWire = *binaryWire
 	srv.ErrorLog = func(err error) { fmt.Fprintln(os.Stderr, "mixserve:", err) }
 
 	// Serve in a goroutine so the main goroutine can watch for signals; a

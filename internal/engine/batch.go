@@ -500,8 +500,12 @@ func mergeGather(schema []xmas.Var, lb Batch, lsel []int, rb Batch, rsel []int) 
 }
 
 // newVecHashJoin probes the build table a batch of left rows at a time. The
-// build side is drained only once the first probe batch exists: an empty or
-// failed left input must not pay the full right-source scan.
+// build side is drained only once the first probe row exists: an empty or
+// failed left input must not pay the full right-source scan. That first pull
+// asks for one row however many the consumer wants, so that a probe side on
+// an exchange prefetches the rest while the build side drains — also when
+// this join is itself the build side of another and is drained drainChunk
+// rows at a time.
 func newVecHashJoin(ctx *Ctx, left Cursor, right func() Cursor, schema []xmas.Var, lv, rv xmas.Var, capw int) Cursor {
 	bi := &batchInput{in: left}
 	var rb Batch
@@ -510,7 +514,11 @@ func newVecHashJoin(ctx *Ctx, left Cursor, right func() Cursor, schema []xmas.Va
 	lIdx := -1
 	produce := func(max int) (Batch, bool, error) {
 		for {
-			lb, ok, err := bi.pull(max)
+			n := max
+			if !built {
+				n = 1
+			}
+			lb, ok, err := bi.pull(n)
 			if err != nil || !ok {
 				return Batch{}, false, err
 			}
@@ -567,7 +575,11 @@ func newVecNLJoin(ctx *Ctx, left Cursor, right func() Cursor, schema []xmas.Var,
 	prepared := false
 	produce := func(max int) (Batch, bool, error) {
 		for {
-			lb, ok, err := bi.pull(max)
+			n := max
+			if !loaded {
+				n = 1 // as in newVecHashJoin
+			}
+			lb, ok, err := bi.pull(n)
 			if err != nil || !ok {
 				return Batch{}, false, err
 			}

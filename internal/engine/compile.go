@@ -509,10 +509,11 @@ func compileJoin(o *xmas.Join, cat *source.Catalog) (compiledOp, error) {
 	}
 	schema := o.Schema()
 	cond := o.Cond
-	// Sides that touch sources may run on producer goroutines under
-	// Parallelism > 1 (decided per side at compile time, engaged per
-	// execution at cursor-construction time).
-	lAsync, rAsync := asyncSide(o.L), asyncSide(o.R)
+	// A probe side that touches a source runs on a producer goroutine under
+	// Parallelism > 1 (decided at compile time, engaged per execution at
+	// cursor-construction time): it prefetches while the consumer drains the
+	// build side, so two federated inputs cost max() of their latencies.
+	lAsync := asyncSide(o.L)
 
 	// Equi-joins on two variables run as hash joins (build right, stream
 	// left); everything else is a nested loop over a materialized right.
@@ -524,18 +525,12 @@ func compileJoin(o *xmas.Join, cat *source.Catalog) (compiledOp, error) {
 			lv, rv = rv, lv
 		}
 		return func(ctx *Ctx) Cursor {
-			if ctx.exec.parallel() && (lAsync || rAsync) {
-				return newParHashJoin(ctx, left, right, schema, lv, rv, lAsync, rAsync)
-			}
-			return newVecHashJoin(ctx, left(ctx), func() Cursor { return right(ctx) }, schema, lv, rv, ctx.opts.BatchExec)
+			return newVecHashJoin(ctx, openSide(ctx, left, lAsync), func() Cursor { return right(ctx) }, schema, lv, rv, ctx.opts.BatchExec)
 		}, nil
 	}
 
 	return func(ctx *Ctx) Cursor {
-		if ctx.exec.parallel() && (lAsync || rAsync) {
-			return newParNLJoin(ctx, left, right, schema, cond, lAsync, rAsync)
-		}
-		return newVecNLJoin(ctx, left(ctx), func() Cursor { return right(ctx) }, schema, cond, ctx.opts.BatchExec)
+		return newVecNLJoin(ctx, openSide(ctx, left, lAsync), func() Cursor { return right(ctx) }, schema, cond, ctx.opts.BatchExec)
 	}, nil
 }
 
@@ -550,20 +545,14 @@ func compileSemiJoin(o *xmas.SemiJoin, cat *source.Catalog) (compiledOp, error) 
 	}
 	keepLeft := o.Keep == xmas.KeepLeft
 	cond := o.Cond
-	var keepSide, otherSide compiledOp
-	if keepLeft {
-		keepSide, otherSide = left, right
-	} else {
-		keepSide, otherSide = right, left
+	keepSide, otherSide, keepOp := left, right, o.L
+	if !keepLeft {
+		keepSide, otherSide, keepOp = right, left, o.R
 	}
 	var keepVar, otherVar xmas.Var
 	hashable := false
 	if cond != nil && cond.Op == xtree.OpEQ && !cond.Left.IsConst && !cond.Right.IsConst {
-		keepSchema := o.L.Schema()
-		if !keepLeft {
-			keepSchema = o.R.Schema()
-		}
-		if xmas.HasVar(keepSchema, cond.Left.V) {
+		if xmas.HasVar(keepOp.Schema(), cond.Left.V) {
 			keepVar, otherVar = cond.Left.V, cond.Right.V
 		} else {
 			keepVar, otherVar = cond.Right.V, cond.Left.V
@@ -571,19 +560,11 @@ func compileSemiJoin(o *xmas.SemiJoin, cat *source.Catalog) (compiledOp, error) 
 		hashable = true
 	}
 	outSchema := o.Schema()
-	keepOp, otherOp := o.L, o.R
-	if !keepLeft {
-		keepOp, otherOp = o.R, o.L
-	}
-	keepAsync, otherAsync := asyncSide(keepOp), asyncSide(otherOp)
+	keepAsync := asyncSide(keepOp)
 	return func(ctx *Ctx) Cursor {
-		if ctx.exec.parallel() && (keepAsync || otherAsync) {
-			return newParSemiJoin(ctx, keepSide, otherSide, &parSemiJoin{
-				outSchema: outSchema, cond: cond, keepLeft: keepLeft,
-				hashable: hashable, keepVar: keepVar, otherVar: otherVar,
-			}, keepAsync, otherAsync)
-		}
-		input := keepSide(ctx)
+		// The filtering side drains on the first Next; a source-touching kept
+		// side prefetches through its exchange meanwhile.
+		input := openSide(ctx, keepSide, keepAsync)
 		var keys map[string]bool
 		var others []Tuple
 		loaded := false
@@ -711,15 +692,9 @@ func compileCat(o *xmas.Cat, cat *source.Catalog) (compiledOp, error) {
 	schema := o.Schema()
 	async := asyncSide(o.In)
 	return func(ctx *Ctx) Cursor {
-		var input Cursor
-		if ctx.exec.parallel() && async {
-			// cat itself is cheap; exchanging its input pipelines the
-			// upstream source scan with downstream consumption.
-			input = startExchange(ctx.exec, func() Cursor { return in(ctx) })
-		} else {
-			input = in(ctx)
-		}
-		return newVecCat(input, o, schema, ctx.opts.BatchExec)
+		// cat itself is cheap; exchanging its input pipelines the upstream
+		// source scan with downstream consumption.
+		return newVecCat(openSide(ctx, in, async), o, schema, ctx.opts.BatchExec)
 	}, nil
 }
 

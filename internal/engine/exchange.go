@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"errors"
-	"sync"
-)
+import "sync"
 
 // This file is the exchange-style asynchronous operator layer: a bounded,
 // channel-backed prefetching cursor (exchange) that can wrap any compiled
@@ -21,9 +18,6 @@ import (
 // DefaultExchangeBuffer is the per-exchange tuple buffer used when
 // Options.ExchangeBuffer is zero.
 const DefaultExchangeBuffer = 32
-
-// errExecClosed reports a build side cancelled by an early Close.
-var errExecClosed = errors.New("engine: execution closed")
 
 // execState is the shared runtime state of one execution's parallel
 // machinery: the producer-goroutine budget, the exchange buffer bound, and
@@ -202,88 +196,4 @@ func (x *exchange) Next() (Tuple, bool, error) {
 func (x *exchange) Close() {
 	x.once.Do(func() { close(x.stop) })
 	<-x.done
-}
-
-// buildResult is a drained build side.
-type buildResult struct {
-	rows []Tuple
-	err  error
-}
-
-// drainHandle is a possibly-asynchronous materialization of a build-side
-// cursor (hash-join tables, nested-loop inners, semi-join key sets). wait is
-// consumer-only; cancel may race with wait and with itself.
-type drainHandle struct {
-	ch   chan buildResult // nil: res already holds an inline result
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
-	res  buildResult
-}
-
-// inlineDrain materializes synchronously on the caller — the sequential
-// path, and the fallback when no producer slot is free.
-func inlineDrain(open func() Cursor) *drainHandle {
-	rows, err := drain(open())
-	return &drainHandle{res: buildResult{rows: rows, err: err}}
-}
-
-// startDrain materializes the cursor made by open on its own goroutine when
-// a producer slot is free, else inline. Cancellation is polled between
-// pulls, so cancel joins within one source-Next latency.
-func startDrain(ex *execState, open func() Cursor) *drainHandle {
-	if !ex.tryAcquire() {
-		return inlineDrain(open)
-	}
-	h := &drainHandle{
-		ch:   make(chan buildResult, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go func() {
-		defer close(h.done)
-		defer ex.release()
-		cur := open()
-		defer closeCursor(cur)
-		var rows []Tuple
-		for {
-			select {
-			case <-h.stop:
-				h.ch <- buildResult{err: errExecClosed}
-				return
-			default:
-			}
-			t, ok, err := cur.Next()
-			if err != nil {
-				h.ch <- buildResult{err: err}
-				return
-			}
-			if !ok {
-				h.ch <- buildResult{rows: rows}
-				return
-			}
-			rows = append(rows, t)
-		}
-	}()
-	return h
-}
-
-// wait blocks until the build finishes (or was cancelled) and returns it.
-func (h *drainHandle) wait() ([]Tuple, error) {
-	if h.ch != nil {
-		h.res = <-h.ch
-		h.ch = nil
-	}
-	return h.res.rows, h.res.err
-}
-
-// cancel stops an in-flight build and joins its goroutine. The producer
-// always delivers exactly one buffered result, so cancel never strands a
-// concurrent wait.
-func (h *drainHandle) cancel() {
-	if h.done == nil {
-		return
-	}
-	h.once.Do(func() { close(h.stop) })
-	<-h.done
 }

@@ -179,27 +179,6 @@ func TestExchangeNoSlotFallsBackSynchronous(t *testing.T) {
 	closeCursor(first)
 }
 
-func TestDrainHandleCancel(t *testing.T) {
-	defer testleak.Check(t)()
-	ex := parExec(2, 2)
-	_, tuples := testTuples(1000)
-	src := &blockingCursor{tuples: tuples, delay: time.Millisecond}
-	h := startDrain(ex, func() Cursor { return src })
-	time.Sleep(5 * time.Millisecond)
-	h.cancel()
-	h.cancel() // idempotent
-	if _, closed := src.snapshot(); !closed {
-		t.Fatal("inner cursor not closed after drain cancel")
-	}
-	if rows, err := h.wait(); !errors.Is(err, errExecClosed) {
-		t.Fatalf("wait after cancel: rows=%d err=%v, want errExecClosed", len(rows), err)
-	}
-	if !ex.tryAcquire() {
-		t.Fatal("producer slot not released after cancel")
-	}
-	ex.release()
-}
-
 func TestExecStateTrackAfterCloseAll(t *testing.T) {
 	defer testleak.Check(t)()
 	ex := parExec(4, 2)

@@ -1,20 +1,17 @@
 package engine
 
-import (
-	"sync"
+import "mix/internal/xmas"
 
-	"mix/internal/xmas"
-)
-
-// Parallel operator variants: when an execution runs with Parallelism > 1,
-// compileJoin/compileSemiJoin/compileCat instantiate these instead of the
-// sequential closures. The probe input streams through an exchange while the
-// build side drains on its own goroutine — kicked off only once the first
-// probe tuple exists, preserving the sequential path's empty-left laziness —
-// so a join over two federated sources pays max() of their latencies
-// instead of their sum. Output order is exactly the sequential order
-// (probe-side order, build rows in drain order), so results stay
-// byte-identical at every parallelism level.
+// Parallel execution has no operator bodies of its own: under Parallelism > 1
+// the batch joins, the semi-join and cat run exactly as they do sequentially,
+// with their probe (kept) input opened through an exchange. The probe side
+// then prefetches up to ExchangeBuffer tuples while the consumer drains the
+// build side — which starts once the first probe row exists, preserving
+// empty-left laziness, and no later, whatever batch size the join's own
+// consumer asks for — so a join over two federated sources pays max() of
+// their latencies instead of their sum. Output order is the
+// sequential order, so results stay byte-identical at every parallelism
+// level.
 
 // asyncSide reports whether a join input is worth running on a producer
 // goroutine: it must actually touch a source (otherwise there is no latency
@@ -24,295 +21,12 @@ func asyncSide(op xmas.Op) bool {
 	return xmas.TouchesSource(op) && !xmas.ReadsPartition(op)
 }
 
-// parBuild is the shared build-side machinery: a lazily kicked, cancellable
-// drain. The mutex only mediates the rare race between the consumer kicking
-// the build and an early Close from another goroutine.
-type parBuild struct {
-	buildFn func() *drainHandle
-
-	mu     sync.Mutex
-	handle *drainHandle
-	closed bool
-}
-
-func newParBuild(ex *execState, async bool, open func() Cursor) *parBuild {
-	return &parBuild{buildFn: func() *drainHandle {
-		if async {
-			return startDrain(ex, open)
-		}
-		return inlineDrain(open)
-	}}
-}
-
-// rows kicks the build on first call and blocks until it completes.
-func (b *parBuild) rows() ([]Tuple, error) {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return nil, errExecClosed
+// openSide instantiates an operator input: through an exchange when the
+// execution is parallel and asyncSide chose the side at compile time, on the
+// consumer otherwise.
+func openSide(ctx *Ctx, side compiledOp, async bool) Cursor {
+	if async && ctx.exec.parallel() {
+		return startExchange(ctx.exec, func() Cursor { return side(ctx) })
 	}
-	if b.handle == nil {
-		b.handle = b.buildFn()
-	}
-	h := b.handle
-	b.mu.Unlock()
-	return h.wait()
-}
-
-// close cancels an in-flight build and joins it; idempotent.
-func (b *parBuild) close() {
-	b.mu.Lock()
-	b.closed = true
-	h := b.handle
-	b.mu.Unlock()
-	if h != nil {
-		h.cancel()
-	}
-}
-
-// parHashJoin is the parallel hash equi-join.
-type parHashJoin struct {
-	schema []xmas.Var
-	lv, rv xmas.Var
-
-	left  Cursor
-	build *parBuild
-
-	table    map[string][]Tuple
-	matches  []Tuple
-	matchIdx int
-	lt       Tuple
-	done     bool
-}
-
-func newParHashJoin(ctx *Ctx, left, right compiledOp, schema []xmas.Var, lv, rv xmas.Var, lAsync, rAsync bool) Cursor {
-	j := &parHashJoin{schema: schema, lv: lv, rv: rv}
-	if lAsync {
-		j.left = startExchange(ctx.exec, func() Cursor { return left(ctx) })
-	} else {
-		j.left = left(ctx)
-	}
-	j.build = newParBuild(ctx.exec, rAsync, func() Cursor { return right(ctx) })
-	ctx.exec.track(j)
-	return j
-}
-
-func (j *parHashJoin) Next() (Tuple, bool, error) {
-	if j.done {
-		return Tuple{}, false, nil
-	}
-	for {
-		if j.matchIdx < len(j.matches) {
-			rt := j.matches[j.matchIdx]
-			j.matchIdx++
-			return j.lt.Merge(j.schema, rt), true, nil
-		}
-		t, ok, err := j.left.Next()
-		if err != nil || !ok {
-			j.done = true
-			j.Close()
-			return Tuple{}, false, err
-		}
-		j.lt = t
-		j.matches = nil
-		j.matchIdx = 0
-		// As in the sequential path, the build side starts only once a probe
-		// tuple exists: an empty or failed left input never pays the right
-		// scan. The probe side's exchange keeps prefetching while we wait.
-		if j.table == nil {
-			rows, err := j.build.rows()
-			if err != nil {
-				j.done = true
-				j.Close()
-				return Tuple{}, false, err
-			}
-			j.table = map[string][]Tuple{}
-			for _, rt := range rows {
-				if a, ok := cmpKeyOf(rt.MustGet(j.rv)); ok {
-					j.table[normKey(a)] = append(j.table[normKey(a)], rt)
-				}
-			}
-		}
-		if a, ok := cmpKeyOf(j.lt.MustGet(j.lv)); ok {
-			j.matches = j.table[normKey(a)]
-		}
-	}
-}
-
-// Close cancels and joins both sides' producer goroutines; idempotent.
-func (j *parHashJoin) Close() {
-	closeCursor(j.left)
-	j.build.close()
-}
-
-// parNLJoin is the parallel nested-loop join (non-equi conditions).
-type parNLJoin struct {
-	schema []xmas.Var
-	cond   *xmas.Cond
-
-	left  Cursor
-	build *parBuild
-
-	rrows    []Tuple
-	loaded   bool
-	lt       Tuple
-	ri       int
-	haveLeft bool
-	done     bool
-}
-
-func newParNLJoin(ctx *Ctx, left, right compiledOp, schema []xmas.Var, cond *xmas.Cond, lAsync, rAsync bool) Cursor {
-	j := &parNLJoin{schema: schema, cond: cond}
-	if lAsync {
-		j.left = startExchange(ctx.exec, func() Cursor { return left(ctx) })
-	} else {
-		j.left = left(ctx)
-	}
-	j.build = newParBuild(ctx.exec, rAsync, func() Cursor { return right(ctx) })
-	ctx.exec.track(j)
-	return j
-}
-
-func (j *parNLJoin) Next() (Tuple, bool, error) {
-	if j.done {
-		return Tuple{}, false, nil
-	}
-	for {
-		if !j.haveLeft {
-			t, ok, err := j.left.Next()
-			if err != nil || !ok {
-				j.done = true
-				j.Close()
-				return Tuple{}, false, err
-			}
-			j.lt = t
-			j.ri = 0
-			j.haveLeft = true
-		}
-		if !j.loaded {
-			rows, err := j.build.rows()
-			if err != nil {
-				j.done = true
-				j.Close()
-				return Tuple{}, false, err
-			}
-			j.rrows = rows
-			j.loaded = true
-		}
-		for j.ri < len(j.rrows) {
-			rt := j.rrows[j.ri]
-			j.ri++
-			merged := j.lt.Merge(j.schema, rt)
-			if j.cond == nil || evalCond(*j.cond, merged) {
-				return merged, true, nil
-			}
-		}
-		j.haveLeft = false
-	}
-}
-
-func (j *parNLJoin) Close() {
-	closeCursor(j.left)
-	j.build.close()
-}
-
-// parSemiJoin is the parallel semi-/anti-join: the kept side streams
-// through an exchange while the filtering side drains concurrently.
-type parSemiJoin struct {
-	outSchema []xmas.Var
-	cond      *xmas.Cond
-	keepLeft  bool
-	hashable  bool
-	keepVar   xmas.Var
-	otherVar  xmas.Var
-
-	input Cursor
-	build *parBuild
-
-	keys   map[string]bool
-	others []Tuple
-	loaded bool
-	seen   map[string]bool
-	done   bool
-}
-
-func newParSemiJoin(ctx *Ctx, keepSide, otherSide compiledOp, p *parSemiJoin, keepAsync, otherAsync bool) Cursor {
-	if keepAsync {
-		p.input = startExchange(ctx.exec, func() Cursor { return keepSide(ctx) })
-	} else {
-		p.input = keepSide(ctx)
-	}
-	p.build = newParBuild(ctx.exec, otherAsync, func() Cursor { return otherSide(ctx) })
-	p.seen = map[string]bool{}
-	ctx.exec.track(p)
-	return p
-}
-
-func (s *parSemiJoin) Next() (Tuple, bool, error) {
-	if s.done {
-		return Tuple{}, false, nil
-	}
-	if !s.loaded {
-		// The sequential path drains the filtering side before the first
-		// kept tuple; here the drain overlaps the kept side's exchange,
-		// which has been prefetching since instantiation.
-		rows, err := s.build.rows()
-		if err != nil {
-			s.done = true
-			s.Close()
-			return Tuple{}, false, err
-		}
-		if s.hashable {
-			s.keys = map[string]bool{}
-			for _, rt := range rows {
-				if a, ok := cmpKeyOf(rt.MustGet(s.otherVar)); ok {
-					s.keys[normKey(a)] = true
-				}
-			}
-		} else {
-			s.others = rows
-		}
-		s.loaded = true
-	}
-	for {
-		t, ok, err := s.input.Next()
-		if err != nil || !ok {
-			s.done = true
-			s.Close()
-			return Tuple{}, false, err
-		}
-		match := false
-		if s.hashable {
-			if a, ok := cmpKeyOf(t.MustGet(s.keepVar)); ok && s.keys[normKey(a)] {
-				match = true
-			}
-		} else {
-			for _, rt := range s.others {
-				var merged Tuple
-				if s.keepLeft {
-					merged = t.Merge(append(append([]xmas.Var{}, t.Schema()...), rt.Schema()...), rt)
-				} else {
-					merged = rt.Merge(append(append([]xmas.Var{}, rt.Schema()...), t.Schema()...), t)
-				}
-				if s.cond == nil || evalCond(*s.cond, merged) {
-					match = true
-					break
-				}
-			}
-		}
-		if !match {
-			continue
-		}
-		k := t.Key(s.outSchema)
-		if s.seen[k] {
-			continue
-		}
-		s.seen[k] = true
-		return t, true, nil
-	}
-}
-
-func (s *parSemiJoin) Close() {
-	closeCursor(s.input)
-	s.build.close()
+	return side(ctx)
 }

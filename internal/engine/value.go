@@ -187,10 +187,10 @@ func ListOf[T any](items ...T) *LazyList[T] {
 	return &LazyList[T]{items: items}
 }
 
-// Get forces elements up to index i and returns the i-th.
+// Get forces elements up to index i and returns the i-th; no index is below 0.
 func (l *LazyList[T]) Get(i int) (T, bool) {
 	var zero T
-	if l == nil {
+	if l == nil || i < 0 {
 		return zero, false
 	}
 	l.mu.Lock()

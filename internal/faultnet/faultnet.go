@@ -131,8 +131,9 @@ func (c *Conn) Read(p []byte) (int, error) {
 	if n > 0 && c.cfg.GarbleProb > 0 {
 		c.mu.Lock()
 		if c.rng.Float64() < c.cfg.GarbleProb {
-			// 0xAA breaks both JSON syntax and UTF-8, so a garbled frame
-			// can never be mistaken for a valid response.
+			// Four flipped bits in one byte: a length prefix, tag or varint
+			// so hit fails framing, decoding or the id check. (Inside a
+			// string value it would pass; the protocol has no checksum.)
 			p[c.rng.Intn(n)] ^= 0xAA
 			c.stats.Garbled++
 		}

@@ -15,8 +15,8 @@ import (
 // nothing after it.
 type Scan struct {
 	Schema Schema
-	Rows   [][]Datum
 
+	rows         packed
 	t            *Table
 	cols         []colPath
 	keyAscending bool
@@ -37,7 +37,7 @@ func (db *DB) Scan(relation string) (*Scan, bool) {
 	if !ok {
 		return nil, false
 	}
-	s := &Scan{Schema: t.Schema, Rows: t.Rows, t: t, cols: make([]colPath, len(t.stats))}
+	s := &Scan{Schema: t.Schema, rows: t.rows, t: t, cols: make([]colPath, len(t.stats))}
 	for i := range t.stats {
 		c := &t.stats[i]
 		s.cols[i] = colPath{total: c.total(), sorted: !c.unsorted, numeric: c.sawNumber}
@@ -57,13 +57,13 @@ func (db *DB) Scan(relation string) (*Scan, bool) {
 func (s *Scan) KeyAscending() bool { return s.keyAscending }
 
 // All is every row of the scan, in insertion order.
-func (s *Scan) All() Matches { return Matches{rows: s.Rows} }
+func (s *Scan) All() Matches { return Matches{rows: s.rows, hi: s.rows.n} }
 
 // Lookup returns the equality access path on the column at position col, or
 // false when Compare is not total on it and the column can only be scanned.
 func (s *Scan) Lookup(col int) (*Lookup, bool) {
 	p := s.cols[col]
-	if !p.total || len(s.Rows) > math.MaxInt32 {
+	if !p.total || s.rows.n > math.MaxInt32 {
 		return nil, false
 	}
 	return &Lookup{scan: s, col: col, path: p}, true
@@ -83,7 +83,7 @@ type Lookup struct {
 
 // Find returns the rows with column = probe, in insertion order.
 func (l *Lookup) Find(probe Datum) Matches {
-	rows := l.scan.Rows
+	rows := l.scan.rows
 	if l.path.numeric {
 		// Against a number Compare reads the probe as a number too, falling
 		// back to the number's text for a probe that is none — and no such
@@ -92,29 +92,29 @@ func (l *Lookup) Find(probe Datum) Matches {
 		case !ok:
 			return Matches{}
 		case n != n:
-			return Matches{rows: rows}
+			return l.scan.All()
 		}
 	}
 	if l.path.sorted {
-		lo, hi := equalRange(len(rows), func(i int) int { return Compare(rows[i][l.col], probe) })
-		return Matches{rows: rows[lo:hi]}
+		lo, hi := equalRange(rows.n, func(i int) int { return Compare(rows.at(i)[l.col], probe) })
+		return Matches{rows: rows, next: lo, hi: hi}
 	}
 	if l.perm == nil {
 		l.perm = l.scan.t.permutation(l.col, rows)
 	}
 	p := l.perm
-	lo, hi := equalRange(len(p.order), func(i int) int { return Compare(p.rows[p.order[i]][l.col], probe) })
+	lo, hi := equalRange(len(p.order), func(i int) int { return Compare(p.rows.at(int(p.order[i]))[l.col], probe) })
 	run := p.order[lo:hi]
-	if len(p.rows) > len(rows) {
+	if p.rows.n > rows.n {
 		// A later scan extended the permutation past this scan's mark. Equal
 		// values sit in position order, so the rows this scan may see are a
 		// prefix of the run.
-		run = run[:sort.Search(len(run), func(i int) bool { return int(run[i]) >= len(rows) })]
+		run = run[:sort.Search(len(run), func(i int) bool { return int(run[i]) >= rows.n })]
 	}
 	if len(run) == 0 {
 		return Matches{}
 	}
-	return Matches{rows: p.rows, perm: run}
+	return Matches{rows: p.rows, perm: run, hi: len(run)}
 }
 
 // equalRange returns the bounds [lo, hi) of the positions where cmp is zero,
@@ -128,26 +128,22 @@ func equalRange(n int, cmp func(i int) int) (lo, hi int) {
 // Matches is a run of a Scan's rows in insertion order: what All or one Find
 // returned. The zero Matches is empty.
 type Matches struct {
-	rows [][]Datum
-	perm []int32 // positions in rows; nil: rows itself is the run
-	next int
+	rows     packed
+	perm     []int32 // positions in rows; nil: the run is rows next..hi-1
+	next, hi int     // cursor and end, over perm when set, else over rows
 }
 
 // Next returns the next row of the run, or ok=false after the last.
 func (m *Matches) Next() (row []Datum, ok bool) {
+	if m.next >= m.hi {
+		return nil, false
+	}
+	i := m.next
 	if m.perm != nil {
-		if m.next >= len(m.perm) {
-			return nil, false
-		}
-		row = m.rows[m.perm[m.next]]
-	} else {
-		if m.next >= len(m.rows) {
-			return nil, false
-		}
-		row = m.rows[m.next]
+		i = int(m.perm[i])
 	}
 	m.next++
-	return row, true
+	return m.rows.at(i), true
 }
 
 // permutation is the positions of a table prefix sorted by (column value,
@@ -155,7 +151,7 @@ func (m *Matches) Next() (row []Datum, ok bool) {
 // take. Immutable once published; a scan with a higher mark publishes a
 // longer one and readers of the old keep theirs.
 type permutation struct {
-	rows  [][]Datum // the prefix order covers
+	rows  packed // the prefix order covers
 	order []int32
 }
 
@@ -163,23 +159,23 @@ type permutation struct {
 // sorting only the positions the table's current one does not cover yet and
 // merging them in. The caller's scan found Compare total on rows, and every
 // earlier caller on its own shorter prefix, so the order is well defined.
-func (t *Table) permutation(col int, rows [][]Datum) *permutation {
+func (t *Table) permutation(col int, rows packed) *permutation {
 	t.permMu.Lock()
 	defer t.permMu.Unlock()
 	p := t.perms[col]
-	if p != nil && len(p.rows) >= len(rows) {
+	if p != nil && p.rows.n >= rows.n {
 		return p
 	}
 	var old []int32
 	if p != nil {
 		old = p.order
 	}
-	order := make([]int32, len(rows))
+	order := make([]int32, rows.n)
 	fresh := order[len(old):]
 	for i := range fresh {
 		fresh[i] = int32(len(old) + i)
 	}
-	less := func(a, b int32) bool { return Compare(rows[a][col], rows[b][col]) < 0 }
+	less := func(a, b int32) bool { return Compare(rows.at(int(a))[col], rows.at(int(b))[col]) < 0 }
 	sort.SliceStable(fresh, func(i, j int) bool { return less(fresh[i], fresh[j]) })
 	// Merge forwards into order, whose tail holds fresh: the write index
 	// never passes the unread part of fresh, and once old is used up the rest

@@ -204,7 +204,7 @@ func TestLookupEqualsScan(t *testing.T) {
 				t.Fatalf("%s shuffled=%v: path.sorted = %v", tc.name, shuffled, l.path.sorted)
 			}
 			for _, probe := range append(probes, vals[0], vals[17], vals[39]) {
-				got, want := keysOf(l.Find(probe)), scanFor(s.Rows, 1, probe)
+				got, want := keysOf(l.Find(probe)), scanFor(s.rows.all(), 1, probe)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s shuffled=%v: Find(%v %q) = %v, a scan finds %v", tc.name, shuffled, probe.Kind, probe.String(), got, want)
 				}
@@ -228,7 +228,7 @@ func TestPermutationIsExtendedAndCutAtTheMark(t *testing.T) {
 	earlyLookup, _ := early.Lookup(1)
 	lateUnresolved, _ := early.Lookup(1) // same mark, first Find only after the table grew
 
-	if got, want := keysOf(earlyLookup.Find(Str("v3"))), scanFor(early.Rows, 1, Str("v3")); !reflect.DeepEqual(got, want) {
+	if got, want := keysOf(earlyLookup.Find(Str("v3"))), scanFor(early.rows.all(), 1, Str("v3")); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Find(v3) = %v, want %v", got, want)
 	}
 	tab, _ := db.Table("kv")
@@ -242,10 +242,10 @@ func TestPermutationIsExtendedAndCutAtTheMark(t *testing.T) {
 	lateLookup, _ := late.Lookup(1)
 	for v := 0; v < 5; v++ {
 		probe := Str(fmt.Sprintf("v%d", v))
-		if got, want := keysOf(lateLookup.Find(probe)), scanFor(late.Rows, 1, probe); !reflect.DeepEqual(got, want) {
+		if got, want := keysOf(lateLookup.Find(probe)), scanFor(late.rows.all(), 1, probe); !reflect.DeepEqual(got, want) {
 			t.Errorf("late scan: Find(%s) = %v, want %v", probe.S, got, want)
 		}
-		want := scanFor(early.Rows, 1, probe)
+		want := scanFor(early.rows.all(), 1, probe)
 		if got := keysOf(earlyLookup.Find(probe)); !reflect.DeepEqual(got, want) {
 			t.Errorf("early scan, permutation held: Find(%s) = %v, want %v", probe.S, got, want)
 		}
@@ -260,7 +260,7 @@ func TestPermutationIsExtendedAndCutAtTheMark(t *testing.T) {
 	// The extended order is the sorted order: by value, then position.
 	for i := 1; i < len(grown.order); i++ {
 		a, b := grown.order[i-1], grown.order[i]
-		if c := Compare(late.Rows[a][1], late.Rows[b][1]); c > 0 || c == 0 && a > b {
+		if c := Compare(late.rows.at(int(a))[1], late.rows.at(int(b))[1]); c > 0 || c == 0 && a > b {
 			t.Fatalf("permutation out of order at %d: rows %d, %d", i, a, b)
 		}
 	}

@@ -137,7 +137,12 @@ func TestLookupBesideWriter(t *testing.T) {
 				s, l = marks[pick], held[pick]
 				probe := relstore.Str(string(rune('a' + i%groups)))
 				var want []int64
-				for _, row := range s.Rows {
+				mark := 0
+				for all := s.All(); ; mark++ {
+					row, ok := all.Next()
+					if !ok {
+						break
+					}
 					if relstore.Compare(row[1], probe) == 0 {
 						want = append(want, row[0].I)
 					}
@@ -147,12 +152,12 @@ func TestLookupBesideWriter(t *testing.T) {
 					row, ok := m.Next()
 					if !ok {
 						if k != len(want) {
-							t.Errorf("Find(%s) at mark %d: %d rows, want %d", probe.S, len(s.Rows), k, len(want))
+							t.Errorf("Find(%s) at mark %d: %d rows, want %d", probe.S, mark, k, len(want))
 						}
 						break
 					}
 					if k >= len(want) || row[0].I != want[k] {
-						t.Errorf("Find(%s) at mark %d: row %d is id %d, want %v", probe.S, len(s.Rows), k, row[0].I, want)
+						t.Errorf("Find(%s) at mark %d: row %d is id %d, want %v", probe.S, mark, k, row[0].I, want)
 						break
 					}
 				}

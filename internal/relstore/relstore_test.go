@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -26,7 +27,7 @@ func TestCreateAndInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab, ok := db.Table("customer")
-	if !ok || len(tab.Rows) != 1 {
+	if !ok || len(tab.Rows()) != 1 {
 		t.Fatalf("table lookup: %v %v", ok, tab)
 	}
 }
@@ -169,4 +170,29 @@ func TestCompareProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestResidentRowCostsItsDatums pins what a loaded table keeps per row: the
+// row's datums (32 bytes each) and nothing else — no slice header in an outer
+// list, no growth slack. 20 000 three-column integer rows must stay within
+// 2% of 20 000 × 96 bytes; a [][]Datum table held 120 bytes a row plus the
+// outer slice's slack. The store is what a mediator process retains, so this
+// is the floor under the benchmark's heap_live_mb.
+func TestResidentRowCostsItsDatums(t *testing.T) {
+	const rows = 20000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	db := NewDB("db")
+	db.MustCreate(Schema{Relation: "r", Columns: []Column{{Name: "a", Type: TInt}, {Name: "b", Type: TInt}, {Name: "c", Type: TInt}}, Key: []int{0}})
+	for i := int64(0); i < rows; i++ {
+		db.MustInsert("r", Int(i), Int(i*7), Int(-i))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	got := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if floor := int64(rows * 3 * 32); got > floor+floor/50 {
+		t.Fatalf("%d rows keep %d bytes resident, %.1f a row; their datums are %d", rows, got, float64(got)/rows, floor)
+	}
+	runtime.KeepAlive(db)
 }

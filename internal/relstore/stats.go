@@ -164,7 +164,7 @@ func (db *DB) TableStats(relation string) (TableStats, bool) {
 	if !ok {
 		return TableStats{}, false
 	}
-	rows := int64(len(t.Rows))
+	rows := int64(t.rows.n)
 	out := TableStats{Rows: rows, Version: db.version.Load()}
 	out.Cols = make([]ColStats, len(t.stats))
 	for i := range t.stats {

@@ -34,10 +34,10 @@ func (s Schema) ColIndex(name string) int {
 // Table is one relation with its rows.
 type Table struct {
 	Schema Schema
-	Rows   [][]Datum
+	rows   packed
 
 	// stats holds one accumulator per column (row counts fall out of
-	// len(Rows)). Mutated only under the owning DB's exclusive lock;
+	// rows.n). Mutated only under the owning DB's exclusive lock;
 	// snapshot through DB.TableStats and DB.Scan.
 	stats []colStat
 	// keyUnordered is set by the first Insert whose key is not strictly above
@@ -50,10 +50,62 @@ type Table struct {
 	perms  []*permutation
 }
 
+// chunkDatums is the backing array rows share: Go's 8 KiB size class less
+// the 8 bytes its allocator keeps in an object that holds pointers, in
+// 32-byte datums, so a chunk wastes less than one row.
+const chunkDatums = (8<<10 - 8) / 32
+
+// packed is a table's rows, or a reader's prefix of them, in insertion
+// order: fixed-width rows back to back in chunks of per rows. A resident row
+// costs its datums and nothing else — no slice header in an outer list (24
+// bytes on a 96-byte row), no object of its own. Chunks are allocated at
+// full length and only ever written past n, and the chunk list only grows,
+// so a copy of the struct taken under the store lock is a stable snapshot
+// beside a concurrent Insert.
+type packed struct {
+	chunks [][]Datum
+	w, per int // row width; rows per chunk
+	n      int // rows present
+}
+
+func newPacked(width int) packed {
+	return packed{w: width, per: max(1, chunkDatums/width)}
+}
+
+// at returns row i, capped so an append cannot reach its neighbour.
+func (p packed) at(i int) []Datum {
+	c := i / p.per
+	o := (i - c*p.per) * p.w
+	return p.chunks[c][o : o+p.w : o+p.w]
+}
+
+// add copies row in as row n.
+func (p *packed) add(row []Datum) {
+	if p.n == len(p.chunks)*p.per {
+		p.chunks = append(p.chunks, make([]Datum, p.per*p.w))
+	}
+	p.n++
+	copy(p.at(p.n-1), row)
+}
+
+// all builds the [][]Datum view of the rows: one header per row, for callers
+// that walk a whole relation once (fixtures, exports, tests).
+func (p packed) all() [][]Datum {
+	out := make([][]Datum, p.n)
+	for i := range out {
+		out[i] = p.at(i)
+	}
+	return out
+}
+
+// Rows returns every row in insertion order. It reads the table unlocked:
+// for fixtures and tests, not beside a writer.
+func (t *Table) Rows() [][]Datum { return t.rows.all() }
+
 // DB is one relational server: a named set of tables plus transfer counters.
 // It is safe for concurrent readers once loaded; mutations (Create, Insert)
 // may also run concurrently with readers, who must take row snapshots
-// through RowsSnapshot instead of touching Table.Rows directly.
+// through Scan or RowsSnapshot instead of Table.Rows.
 type DB struct {
 	Name string
 
@@ -91,7 +143,7 @@ func (db *DB) Create(s Schema) (*Table, error) {
 	if _, exists := db.tables[s.Relation]; exists {
 		return nil, fmt.Errorf("relstore: relation %s already exists", s.Relation)
 	}
-	t := &Table{Schema: s, stats: make([]colStat, len(s.Columns)), perms: make([]*permutation, len(s.Columns))}
+	t := &Table{Schema: s, rows: newPacked(len(s.Columns)), stats: make([]colStat, len(s.Columns)), perms: make([]*permutation, len(s.Columns))}
 	db.tables[s.Relation] = t
 	db.version.Add(1)
 	return t, nil
@@ -106,7 +158,7 @@ func (db *DB) MustCreate(s Schema) *Table {
 	return t
 }
 
-// Insert appends a row after checking arity and types.
+// Insert appends a copy of row after checking arity and types.
 func (db *DB) Insert(relation string, row []Datum) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -124,10 +176,10 @@ func (db *DB) Insert(relation string, row []Datum) error {
 				relation, t.Schema.Columns[i].Name, t.Schema.Columns[i].Type, d.Kind)
 		}
 	}
-	if n := len(t.Rows); n > 0 && !t.keyUnordered {
-		t.keyUnordered = !keyBelow(t.Rows[n-1], row, t.Schema.Key)
+	if n := t.rows.n; n > 0 && !t.keyUnordered {
+		t.keyUnordered = !keyBelow(t.rows.at(n-1), row, t.Schema.Key)
 	}
-	t.Rows = append(t.Rows, row)
+	t.rows.add(row)
 	for i, d := range row {
 		t.stats[i].note(d)
 	}
@@ -161,11 +213,11 @@ func (db *DB) Table(relation string) (*Table, bool) {
 	return t, ok
 }
 
-// RowsSnapshot returns the relation's current rows under the store lock.
-// Insert only ever appends (rows are never edited in place), so the
-// returned slice header is a stable snapshot that concurrent mutations
-// cannot reach — readers that scan while producer goroutines insert must
-// use it instead of Table.Rows.
+// RowsSnapshot returns the relation's current rows, read under the store
+// lock. Insert only ever appends (rows are never edited in place), so the
+// snapshot is stable beside concurrent mutations — readers that walk a
+// relation while producer goroutines insert must use it instead of
+// Table.Rows.
 func (db *DB) RowsSnapshot(relation string) ([][]Datum, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -173,7 +225,7 @@ func (db *DB) RowsSnapshot(relation string) ([][]Datum, bool) {
 	if !ok {
 		return nil, false
 	}
-	return t.Rows, true
+	return t.rows.all(), true
 }
 
 // Version reports the mutation counter: it increases on every Create and

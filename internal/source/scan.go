@@ -69,8 +69,7 @@ type TransferStats struct {
 	Resumes    int64
 	// Breaker is the endpoint's circuit-breaker state ("closed", "open",
 	// "half-open"), empty when the transport has no breaker.
-	Breaker    string
-	BinaryWire bool
+	Breaker string
 }
 
 // TransferReporter is implemented by documents reached over a counted

@@ -223,6 +223,49 @@ func TestDeepBatchMaterialize(t *testing.T) {
 	}
 }
 
+// TestDeepBatchTagDenseWithinMaxFrame: the byte budget a Deep batch is cut
+// to is a true upper bound of its encoding. frameSize charges 96 bytes plus
+// a frame's raw string lengths against 7/8 of MaxFrame, and a frame encodes
+// to those strings plus a flag byte and varints. (The JSON line protocol
+// wrote every '<', '>' and '&' of the shipped XML as six bytes, so these
+// tag-dense subtrees came to about three times their budget and the walk
+// died with ErrFrameTooLarge after 7 children.)
+func TestDeepBatchTagDenseWithinMaxFrame(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("<doc>")
+	for i := 0; i < 100; i++ {
+		sb.WriteString("<item>" + strings.Repeat("<a>1</a>", 20) + "</item>")
+	}
+	sb.WriteString("</doc>")
+	med := mix.New()
+	if err := med.AddXMLSource("&dense", sb.String()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := med.DefineView("densev", "FOR $I IN document(&dense)/item RETURN $I"); err != nil {
+		t.Fatal(err)
+	}
+	c := dialFlat(t, med, func(s *wire.Server) { s.MaxFrame = 4096 }, wire.ClientConfig{MaxFrame: 4096})
+	root, err := c.Open("densev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := root.DownScan(wire.ScanConfig{BatchSize: 64, Deep: true})
+	count := 0
+	for ; err == nil && n != nil; n, err = n.Right() {
+		if xml, merr := n.Materialize(); merr != nil || strings.Count(xml, "<a>") != 20 {
+			t.Fatalf("child %d: subtree %q, err %v", count, xml, merr)
+		}
+		count++
+		n.Release()
+	}
+	if err != nil || count != 100 {
+		t.Fatalf("deep walk under MaxFrame 4096 saw %d of 100 children: %v", count, err)
+	}
+	if st := c.WireStats(); st.BatchesFetched < 100/8 {
+		t.Fatalf("budget never cut a batch: %d batches for 100 frames of ~400 bytes under 4096", st.BatchesFetched)
+	}
+}
+
 // TestEngineBatchKnobs: mix.Config.BatchSize/Prefetch reach a federated
 // source — the engine asks the remote doc for batched delivery and the walk
 // still produces the right answer.

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -142,15 +141,6 @@ type ClientConfig struct {
 	// cache entirely: every walk fetches from the wire, byte-identical to
 	// prior behaviour.
 	NodeCache int
-	// BinaryWire proposes the length-prefixed binary codec (see codec.go):
-	// every JSON request on a not-yet-negotiated connection carries
-	// Codec "bin", and when the server echoes it on an OK response both
-	// sides switch to binary frames for the rest of the connection. A
-	// JSON-only server ignores the proposal and the connection stays on
-	// JSON, so the knob is safe against old peers. Off (the default) the
-	// Codec field is never sent and the wire bytes are identical to prior
-	// releases. Negotiation restarts from JSON on every reconnect.
-	BinaryWire bool
 }
 
 func (cfg *ClientConfig) normalize() {
@@ -241,17 +231,12 @@ type Client struct {
 
 	mu     sync.Mutex // guards conn state
 	conn   io.ReadWriteCloser
-	out    *bufio.Writer
 	in     *bufio.Reader
 	next   int64
 	gen    int64 // connection generation; bumped on reconnect
 	broken bool
 	closed bool
-	// binary marks a connection that negotiated the binary codec (see
-	// ClientConfig.BinaryWire); reset on reconnect, so every connection
-	// renegotiates from JSON. binBuf is the reused binary encode buffer.
-	binary bool
-	binBuf []byte
+	binBuf []byte // reused request frame buffer (frameLocked)
 
 	// pendingRelease holds handles of consumed batch frames awaiting
 	// piggybacked release on the next request (Request.Release) — releasing
@@ -269,15 +254,14 @@ type Client struct {
 	sessionToken string
 
 	redials        int64 // diagnostics: successful reconnects
-	reqsSent       int64 // round trips issued (counted after a successful flush)
+	reqsSent       int64 // round trips issued (counted after a successful write)
 	batchesFetched int64 // children/scan batches received
 	framesBatched  int64 // frames across those batches
 	busyRetries    int64 // retries consumed by server-busy rejections
 	resumes        int64 // successful session-token resumes
 
-	// Bytes-on-wire accounting, framing included (the JSON newline or the
-	// binary length prefix): totals plus a per-op breakdown, counted at the
-	// write and read points so codec comparisons measure real wire traffic.
+	// Bytes-on-wire accounting, length prefix included: totals plus a per-op
+	// breakdown, counted at the write and read points.
 	bytesSent   int64
 	bytesRecv   int64
 	opBytesSent map[string]int64
@@ -318,13 +302,11 @@ type WireStats struct {
 	NodeCacheValidations int64
 	NodeCacheEvictions   int64
 	// Bytes on the wire, framing included: totals plus per-op breakdowns
-	// keyed by protocol op. BinaryWire reports whether the current
-	// connection negotiated the binary codec.
+	// keyed by protocol op.
 	BytesSent   int64
 	BytesRecv   int64
 	OpBytesSent map[string]int64
 	OpBytesRecv map[string]int64
-	BinaryWire  bool
 }
 
 // WireStats snapshots the round-trip counters.
@@ -339,7 +321,6 @@ func (c *Client) WireStats() WireStats {
 		Resumes:        c.resumes,
 		BytesSent:      c.bytesSent,
 		BytesRecv:      c.bytesRecv,
-		BinaryWire:     c.binary,
 	}
 	if len(c.opBytesSent) > 0 {
 		st.OpBytesSent = make(map[string]int64, len(c.opBytesSent))
@@ -409,7 +390,6 @@ func NewClientConfig(conn io.ReadWriteCloser, cfg ClientConfig) *Client {
 		breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		conn:    conn,
-		out:     bufio.NewWriter(conn),
 		in:      bufio.NewReaderSize(conn, frameBufSize),
 	}
 	if cfg.NodeCache > 0 {
@@ -464,10 +444,8 @@ func (c *Client) reconnectLocked() error {
 		_ = c.conn.Close()
 	}
 	c.conn = conn
-	c.out = bufio.NewWriter(conn)
 	c.in = bufio.NewReaderSize(conn, frameBufSize)
 	c.broken = false
-	c.binary = false // codec negotiation restarts from JSON per connection
 	c.gen++
 	c.redials++
 	c.pendingRelease = nil // old handles died with the old session
@@ -500,45 +478,10 @@ func (c *Client) reconnectLocked() error {
 // and the session carries on as a fresh admission.
 func (c *Client) resumeLocked() error {
 	c.next++
-	req := Request{ID: c.next, Op: "resume", Token: c.sessionToken}
-	if c.cfg.BinaryWire {
-		// The resume is the new connection's first request, so it doubles as
-		// the codec proposal (reconnectLocked just reset c.binary).
-		req.Codec = codecBin
-	}
-	payload, err := json.Marshal(&req)
+	c.frameLocked(&Request{ID: c.next, Op: "resume", Token: c.sessionToken})
+	resp, err := c.exchangeLocked("resume", c.next)
 	if err != nil {
 		return err
-	}
-	payload = append(payload, '\n')
-	if d, ok := c.conn.(deadliner); ok && c.cfg.OpTimeout > 0 {
-		_ = d.SetDeadline(time.Now().Add(c.cfg.OpTimeout))
-		defer d.SetDeadline(time.Time{})
-	}
-	if _, err := c.out.Write(payload); err != nil {
-		c.broken = true
-		return &TransportError{Err: err}
-	}
-	if err := c.out.Flush(); err != nil {
-		c.broken = true
-		return &TransportError{Err: err}
-	}
-	c.reqsSent++
-	c.noteBytesLocked(req.Op, len(payload), 0)
-	line, err := readFrame(c.in, c.cfg.MaxFrame)
-	if err != nil {
-		c.broken = true
-		return &TransportError{Err: err}
-	}
-	c.noteBytesLocked(req.Op, 0, len(line)+1)
-	var resp Response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		c.broken = true
-		return &TransportError{Err: fmt.Errorf("garbled response: %w", err)}
-	}
-	if resp.ID != req.ID {
-		c.broken = true
-		return &TransportError{Err: fmt.Errorf("response id %d for request %d", resp.ID, req.ID)}
 	}
 	// A well-formed resume answer — busy included — proves the endpoint
 	// alive. Record it with the breaker: under an eviction storm every op
@@ -553,9 +496,6 @@ func (c *Client) resumeLocked() error {
 	if !resp.OK {
 		c.sessionToken = ""
 		return nil
-	}
-	if resp.Codec == codecBin {
-		c.binary = true // negotiated on the resume; binary from here on
 	}
 	c.sessionToken = resp.Token
 	if resp.Token != "" {
@@ -582,9 +522,7 @@ func (c *Client) currentGen() (int64, error) {
 
 // roundTrip performs one locked request/response exchange. wantGen >= 0
 // asserts the request's handle belongs to the current connection
-// generation. Transport-level failures mark the connection broken (a late
-// response to a timed-out request must never be read as the answer to the
-// next one) and come back as *TransportError.
+// generation. See exchangeLocked for the transport-failure contract.
 func (c *Client) roundTrip(req Request, wantGen int64) (Response, int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -601,7 +539,7 @@ func (c *Client) roundTrip(req Request, wantGen int64) (Response, int64, error) 
 	}
 	c.next++
 	req.ID = c.next
-	// Piggyback pending frame releases. On a request-side failure (marshal,
+	// Piggyback pending frame releases. On a request-side failure (an
 	// oversized frame) the connection stays healthy and the handles go back
 	// in the queue; transport failures below break the connection, which
 	// invalidates the handles anyway.
@@ -610,99 +548,20 @@ func (c *Client) roundTrip(req Request, wantGen int64) (Response, int64, error) 
 		c.pendingRelease = nil
 		req.Release = piggyback
 	}
-	if !c.binary && c.cfg.BinaryWire {
-		// Propose the binary codec on every JSON request until the server
-		// accepts one (see ClientConfig.BinaryWire); a JSON-only server
-		// ignores the field and the connection stays as it is.
-		req.Codec = codecBin
-	}
-	encode := func() ([]byte, error) {
-		if c.binary {
-			c.binBuf = encodeRequest(c.binBuf[:0], &req)
-			return c.binBuf, nil
-		}
-		return json.Marshal(&req)
-	}
-	payload, err := encode()
-	if err != nil {
-		c.pendingRelease = piggyback
-		return Response{}, 0, err
-	}
-	if len(payload) > c.cfg.MaxFrame && piggyback != nil {
+	size := c.frameLocked(&req)
+	if size > c.cfg.MaxFrame && piggyback != nil {
 		// The piggyback itself may have pushed the frame over the limit;
 		// requeue it and send the op bare.
 		c.pendingRelease = piggyback
 		req.Release = nil
-		payload, err = encode()
-		if err != nil {
-			return Response{}, 0, err
-		}
+		size = c.frameLocked(&req)
 	}
-	if len(payload) > c.cfg.MaxFrame {
+	if size > c.cfg.MaxFrame {
 		return Response{}, 0, &FrameTooLargeError{Limit: c.cfg.MaxFrame}
 	}
-	if d, ok := c.conn.(deadliner); ok && c.cfg.OpTimeout > 0 {
-		_ = d.SetDeadline(time.Now().Add(c.cfg.OpTimeout))
-		defer d.SetDeadline(time.Time{})
-	}
-	var sentBytes int
-	if c.binary {
-		sentBytes = binLenSize + len(payload)
-		if err := writeBinFrame(c.out, payload); err != nil {
-			c.broken = true
-			return Response{}, 0, &TransportError{Err: err}
-		}
-	} else {
-		payload = append(payload, '\n')
-		sentBytes = len(payload)
-		if _, err := c.out.Write(payload); err != nil {
-			c.broken = true
-			return Response{}, 0, &TransportError{Err: err}
-		}
-	}
-	if err := c.out.Flush(); err != nil {
-		c.broken = true
-		return Response{}, 0, &TransportError{Err: err}
-	}
-	c.reqsSent++
-	c.noteBytesLocked(req.Op, sentBytes, 0)
-	var resp Response
-	if c.binary {
-		frame, err := readBinFrame(c.in, c.cfg.MaxFrame)
-		if err != nil {
-			var tooBig *FrameTooLargeError
-			if errors.As(err, &tooBig) {
-				// readBinFrame drained the payload; stream stays in sync.
-				return Response{}, 0, tooBig
-			}
-			c.broken = true
-			return Response{}, 0, &TransportError{Err: err}
-		}
-		c.noteBytesLocked(req.Op, 0, binLenSize+len(frame))
-		if resp, err = decodeResponse(frame); err != nil {
-			c.broken = true
-			return Response{}, 0, &TransportError{Err: fmt.Errorf("garbled response: %w", err)}
-		}
-	} else {
-		line, err := readFrame(c.in, c.cfg.MaxFrame)
-		if err != nil {
-			var tooBig *FrameTooLargeError
-			if errors.As(err, &tooBig) {
-				// readFrame resynchronized the stream; session stays usable.
-				return Response{}, 0, tooBig
-			}
-			c.broken = true
-			return Response{}, 0, &TransportError{Err: err}
-		}
-		c.noteBytesLocked(req.Op, 0, len(line)+1)
-		if err := json.Unmarshal(line, &resp); err != nil {
-			c.broken = true
-			return Response{}, 0, &TransportError{Err: fmt.Errorf("garbled response: %w", err)}
-		}
-	}
-	if resp.ID != req.ID {
-		c.broken = true
-		return Response{}, 0, &TransportError{Err: fmt.Errorf("response id %d for request %d", resp.ID, req.ID)}
+	resp, err := c.exchangeLocked(req.Op, req.ID)
+	if err != nil {
+		return Response{}, 0, err
 	}
 	if resp.Busy {
 		// Admission rejection: the server is closing the connection behind
@@ -713,12 +572,6 @@ func (c *Client) roundTrip(req Request, wantGen int64) (Response, int64, error) 
 	}
 	if !resp.OK {
 		return Response{}, 0, &ServerError{Msg: resp.Error}
-	}
-	if resp.Codec == codecBin {
-		// The server accepted the codec proposal on this OK response and
-		// switched right after writing it; every later exchange on this
-		// connection is binary-framed.
-		c.binary = true
 	}
 	if resp.Token != "" {
 		// First response after admission on a session-limited server: hold
@@ -732,6 +585,52 @@ func (c *Client) roundTrip(req Request, wantGen int64) (Response, int64, error) 
 		c.cache.observe(resp.DataVersion)
 	}
 	return resp, c.gen, nil
+}
+
+// frameLocked encodes req as a frame in the reused buffer (c.mu held) and
+// returns the payload's size.
+func (c *Client) frameLocked(req *Request) int {
+	c.binBuf = encodeRequest(frameStart(c.binBuf), req)
+	return len(c.binBuf) - binLenSize
+}
+
+// exchangeLocked is the one wire exchange (c.mu held): write the frame
+// frameLocked built → read → decode → id check. Transport-level failures
+// mark the connection broken (a late response to a timed-out request must
+// never be read as the answer to the next one) and come back as
+// *TransportError; an oversized response is drained by readBinFrame, so the
+// stream stays in sync.
+func (c *Client) exchangeLocked(op string, id int64) (Response, error) {
+	if d, ok := c.conn.(deadliner); ok && c.cfg.OpTimeout > 0 {
+		_ = d.SetDeadline(time.Now().Add(c.cfg.OpTimeout))
+		defer d.SetDeadline(time.Time{})
+	}
+	transport := func(err error) (Response, error) {
+		c.broken = true
+		return Response{}, &TransportError{Err: err}
+	}
+	if err := writeBinFrame(c.conn, c.binBuf); err != nil {
+		return transport(err)
+	}
+	c.reqsSent++
+	c.noteBytesLocked(op, len(c.binBuf), 0)
+	frame, err := readBinFrame(c.in, c.cfg.MaxFrame)
+	if err != nil {
+		var tooBig *FrameTooLargeError
+		if errors.As(err, &tooBig) {
+			return Response{}, tooBig
+		}
+		return transport(err)
+	}
+	c.noteBytesLocked(op, 0, binLenSize+len(frame))
+	resp, err := decodeResponse(frame)
+	if err != nil {
+		return transport(fmt.Errorf("garbled response: %w", err))
+	}
+	if resp.ID != id {
+		return transport(fmt.Errorf("response id %d for request %d", resp.ID, id))
+	}
+	return resp, nil
 }
 
 func isTransient(err error) bool {

@@ -7,23 +7,19 @@ import (
 	"io"
 )
 
-// This file is the negotiated binary wire codec: the same Request/Response
-// messages as the JSON protocol, encoded as tagged binary fields inside
-// length-prefixed frames. It swaps in beneath the framing layer — message
-// boundaries, MaxFrame budgets and the session/resume machinery are
-// untouched — and engages only after both peers agree via the Codec field
-// of an ordinary JSON exchange (see protocol.go), so a binary-capable peer
-// talking to an old one stays on JSON automatically.
+// This file is the wire encoding: Request/Response messages as tagged binary
+// fields inside length-prefixed frames, from the first byte of every
+// connection in both directions. It sits beneath the framing contract —
+// message boundaries, MaxFrame budgets and the session/resume machinery — and
+// there is nothing to negotiate: both ends of the protocol live in this
+// package.
 //
 // Layout: a frame is a big-endian uint32 payload length followed by the
 // payload. A payload is a message kind byte ('Q' request, 'R' response)
 // followed by tagged fields: one tag byte, then the field value — varints
 // for integers (zigzag for signed), length-prefixed bytes for strings.
 // Boolean fields carry no value; the tag's presence is the truth. Fields
-// with zero values are omitted, mirroring the JSON encoding's omitempty.
-
-// codecBin is the negotiated codec name carried in Request/Response.Codec.
-const codecBin = "bin"
+// with zero values are omitted.
 
 // binKindReq/binKindResp are the payload kind bytes.
 const (
@@ -43,7 +39,6 @@ const (
 	reqTagDeep
 	reqTagRelease
 	reqTagToken
-	reqTagCodec
 )
 
 // Response field tags.
@@ -66,7 +61,6 @@ const (
 	respTagMore
 	respTagTuplesShipped
 	respTagQueriesReceived
-	respTagCodec
 )
 
 // NodeFrame flag bits (frames are dense enough that a flag byte beats tags).
@@ -165,7 +159,7 @@ func (r *binReader) string() string {
 // ---- request ----
 
 // encodeRequest serializes a request into a binary payload (no length
-// prefix; writeBinFrame adds it).
+// prefix: frameStart reserves it, writeBinFrame fills it in).
 func encodeRequest(b []byte, req *Request) []byte {
 	b = append(b, binKindReq)
 	if req.ID != 0 {
@@ -210,10 +204,6 @@ func encodeRequest(b []byte, req *Request) []byte {
 		b = append(b, reqTagToken)
 		b = appendString(b, req.Token)
 	}
-	if req.Codec != "" {
-		b = append(b, reqTagCodec)
-		b = appendString(b, req.Codec)
-	}
 	return b
 }
 
@@ -244,18 +234,18 @@ func decodeRequest(payload []byte) (Request, error) {
 			req.Deep = true
 		case reqTagRelease:
 			n := r.uvarint()
-			if n > uint64(len(payload)) { // cheap sanity bound before allocating
+			if n > uint64(len(payload)-r.pos) { // a handle is at least one byte
 				r.fail("wire: release list length %d overruns payload", n)
 				break
 			}
-			req.Release = make([]int64, 0, n)
+			// The count is a claim until the handles have been read: reserve
+			// one batch's worth and let a longer list grow as it decodes.
+			req.Release = make([]int64, 0, min(n, DefaultBatchSize))
 			for i := uint64(0); i < n && r.err == nil; i++ {
 				req.Release = append(req.Release, r.varint())
 			}
 		case reqTagToken:
 			req.Token = r.string()
-		case reqTagCodec:
-			req.Codec = r.string()
 		default:
 			r.fail("wire: unknown binary request tag %d", tag)
 		}
@@ -396,10 +386,6 @@ func encodeResponse(b []byte, resp *Response) []byte {
 		b = append(b, respTagQueriesReceived)
 		b = appendVarint(b, resp.QueriesReceived)
 	}
-	if resp.Codec != "" {
-		b = append(b, respTagCodec)
-		b = appendString(b, resp.Codec)
-	}
 	return b
 }
 
@@ -442,7 +428,7 @@ func decodeResponse(payload []byte) (Response, error) {
 			resp.DataVersion = r.varint()
 		case respTagFrames:
 			n := r.uvarint()
-			if n > uint64(len(payload)) {
+			if n > uint64(len(payload)-r.pos) { // a frame is at least two bytes
 				r.fail("wire: frame count %d overruns payload", n)
 				break
 			}
@@ -459,8 +445,6 @@ func decodeResponse(payload []byte) (Response, error) {
 			resp.TuplesShipped = r.varint()
 		case respTagQueriesReceived:
 			resp.QueriesReceived = r.varint()
-		case respTagCodec:
-			resp.Codec = r.string()
 		default:
 			r.fail("wire: unknown binary response tag %d", tag)
 		}
@@ -473,21 +457,22 @@ func decodeResponse(payload []byte) (Response, error) {
 // binLenSize is the frame length prefix width.
 const binLenSize = 4
 
-// writeBinFrame writes one length-prefixed binary frame.
-func writeBinFrame(w *bufio.Writer, payload []byte) error {
-	var hdr [binLenSize]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+// frameStart opens a frame in b's storage: the four bytes the length goes
+// into once the payload has been encoded behind them.
+func frameStart(b []byte) []byte { return append(b[:0], 0, 0, 0, 0) }
+
+// writeBinFrame fills in the length of a frame begun by frameStart and sends
+// prefix and payload in one Write, so a frame costs the transport one write
+// whatever its size.
+func writeBinFrame(w io.Writer, frame []byte) error {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-binLenSize))
+	_, err := w.Write(frame)
 	return err
 }
 
-// readBinFrame reads one length-prefixed binary frame of at most max payload
-// bytes. On an oversized frame it drains the payload — resynchronizing the
-// stream exactly like readFrame does for JSON lines — and returns
-// *FrameTooLargeError.
+// readBinFrame reads one length-prefixed frame of at most max payload bytes.
+// On an oversized frame it drains the payload — resynchronizing the stream —
+// and returns *FrameTooLargeError.
 func readBinFrame(r *bufio.Reader, max int) ([]byte, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
@@ -503,12 +488,21 @@ func readBinFrame(r *bufio.Reader, max int) ([]byte, error) {
 		}
 		return nil, &FrameTooLargeError{Limit: max}
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	// The prefix is the peer's claim: memory is committed as payload arrives
+	// (one exact allocation up to frameBufSize, doubling beyond).
+	buf := make([]byte, min(int(n), frameBufSize))
+	for have := 0; ; {
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
 		}
-		return nil, err
+		if have = len(buf); have == int(n) {
+			return buf, nil
+		}
+		grown := make([]byte, min(int(n), 2*have))
+		copy(grown, buf)
+		buf = grown
 	}
-	return buf, nil
 }

@@ -1,162 +1,106 @@
 package wire_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"io"
-	"net"
+	"sync"
 	"testing"
 
-	"mix"
-	"mix/internal/testleak"
 	"mix/internal/wire"
-	"mix/internal/workload"
 )
 
-// codecPair wires a client to a server with explicit codec knobs on each
-// side, returning the client and its server (for handle-leak checks).
-func codecPair(t *testing.T, clientBin, serverBin bool) (*wire.Client, *wire.Server) {
-	t.Helper()
-	med := mix.New()
-	med.AddRelationalSource(workload.PaperDB())
-	if err := med.AliasSource("&root1", "&db1.customer"); err != nil {
-		t.Fatal(err)
-	}
-	if err := med.AliasSource("&root2", "&db1.orders"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := med.DefineView("rootv", workload.Q1); err != nil {
-		t.Fatal(err)
-	}
-	server, client := net.Pipe()
-	srv := wire.NewServer(med)
-	srv.BinaryWire = serverBin
-	go func() {
-		defer server.Close()
-		_ = srv.ServeConn(server)
-	}()
-	c := wire.NewClientConfig(client, wire.ClientConfig{BinaryWire: clientBin})
-	t.Cleanup(func() {
-		c.Close()
-		testleak.NoHandles(t, "server node handles", srv.LiveHandles)
-	})
-	return c, srv
+// tap records the bytes one client connection carries in each direction.
+type tap struct {
+	io.ReadWriteCloser
+	mu         sync.Mutex
+	sent, recv []byte
 }
 
-// codecSession runs one representative session — open, batched navigation,
-// leaf value, materialize, stats — and returns the materialized XML, so the
-// negotiation matrix can assert every codec combination answers identically.
-func codecSession(t *testing.T, c *wire.Client) string {
+func (c *tap) Write(p []byte) (int, error) {
+	n, err := c.ReadWriteCloser.Write(p)
+	c.mu.Lock()
+	c.sent = append(c.sent, p[:n]...)
+	c.mu.Unlock()
+	return n, err
+}
+
+func (c *tap) Read(p []byte) (int, error) {
+	n, err := c.ReadWriteCloser.Read(p)
+	c.mu.Lock()
+	c.recv = append(c.recv, p[:n]...)
+	c.mu.Unlock()
+	return n, err
+}
+
+// firstPayload asserts that stream starts with one complete length-prefixed
+// frame of the given kind and returns its payload.
+func firstPayload(t *testing.T, what string, stream []byte, kind byte) []byte {
 	t.Helper()
-	if err := c.Ping(); err != nil {
+	if len(stream) < 5 {
+		t.Fatalf("%s: %d bytes on the wire, no frame", what, len(stream))
+	}
+	n := int(binary.BigEndian.Uint32(stream))
+	if n < 1 || n > len(stream)-4 || stream[4] != kind {
+		t.Fatalf("%s does not start with a length-prefixed %q frame: % x", what, kind, stream[:5])
+	}
+	return stream[4 : 4+n]
+}
+
+// TestEveryConnectionStartsBinary pins the one wire encoding on the raw
+// bytes: the first frame in each direction is a length-prefixed tagged frame
+// on a fresh connection and again after a redial — where, against a
+// session-limited server, it is the resume exchange. There is no handshake
+// to fall back from. The client's byte counters equal what the taps saw.
+func TestEveryConnectionStartsBinary(t *testing.T) {
+	e := limitedEndpoint(t, func(s *wire.Server) { s.MaxSessions = 4 })
+	var taps []*tap
+	cfg := fastCfg()
+	cfg.Redial = func() (io.ReadWriteCloser, error) {
+		conn, err := e.dial()
+		if err != nil {
+			return nil, err
+		}
+		taps = append(taps, &tap{ReadWriteCloser: conn})
+		return taps[len(taps)-1], nil
+	}
+	first, err := cfg.Redial()
+	if err != nil {
 		t.Fatal(err)
 	}
+	c := wire.NewClientConfig(first, cfg)
+	defer c.Close()
+
 	root, err := c.Open("rootv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer root.Release()
-	first, err := root.Down()
-	if err != nil || first == nil {
-		t.Fatalf("down: %v %v", first, err)
-	}
-	for n := first; n != nil; {
-		next, err := n.Right()
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.Release()
-		n = next
-	}
-	xml, err := root.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Stats(); err != nil {
-		t.Fatal(err)
-	}
-	return xml
-}
-
-// TestCodecNegotiationMatrix drives every mixed-version pairing: the binary
-// codec engages exactly when both sides opt in, every other combination
-// silently stays on JSON, and all four answer byte-identically.
-func TestCodecNegotiationMatrix(t *testing.T) {
-	type cell struct {
-		clientBin, serverBin bool
-	}
-	answers := map[cell]string{}
-	var jsonBytes, binBytes int64
-	for _, tc := range []cell{{false, false}, {true, false}, {false, true}, {true, true}} {
-		c, _ := codecPair(t, tc.clientBin, tc.serverBin)
-		answers[tc] = codecSession(t, c)
-		st := c.WireStats()
-		wantBin := tc.clientBin && tc.serverBin
-		if st.BinaryWire != wantBin {
-			t.Errorf("client=%v server=%v: negotiated binary = %v, want %v",
-				tc.clientBin, tc.serverBin, st.BinaryWire, wantBin)
-		}
-		if st.BytesSent == 0 || st.BytesRecv == 0 {
-			t.Errorf("client=%v server=%v: byte counters empty: %+v", tc.clientBin, tc.serverBin, st)
-		}
-		if st.OpBytesSent["open"] == 0 || st.OpBytesRecv["children"] == 0 {
-			t.Errorf("client=%v server=%v: per-op byte counters empty: sent=%v recv=%v",
-				tc.clientBin, tc.serverBin, st.OpBytesSent, st.OpBytesRecv)
-		}
-		switch tc {
-		case cell{false, false}:
-			jsonBytes = st.BytesSent + st.BytesRecv
-		case cell{true, true}:
-			binBytes = st.BytesSent + st.BytesRecv
-		}
-	}
-	base := answers[cell{false, false}]
-	for tc, xml := range answers {
-		if xml != base {
-			t.Errorf("client=%v server=%v: answer diverged from the JSON baseline", tc.clientBin, tc.serverBin)
-		}
-	}
-	if binBytes >= jsonBytes {
-		t.Errorf("negotiated binary session moved %d bytes, JSON moved %d; binary should be smaller", binBytes, jsonBytes)
-	}
-	t.Logf("session bytes: json=%d binary=%d (%.1f%%)", jsonBytes, binBytes, 100*float64(binBytes)/float64(jsonBytes))
-}
-
-// TestCodecRenegotiatesAfterRedial pins the reconnect rule: the codec is
-// per-connection state, so a redialed connection starts on JSON and
-// renegotiates binary from scratch.
-func TestCodecRenegotiatesAfterRedial(t *testing.T) {
-	med := mix.New()
-	med.AddRelationalSource(workload.PaperDB())
-	srv := wire.NewServer(med)
-	srv.BinaryWire = true
-	dial := func() (io.ReadWriteCloser, error) {
-		server, client := net.Pipe()
-		go func() {
-			defer server.Close()
-			_ = srv.ServeConn(server)
-		}()
-		return client, nil
-	}
-	first, err := dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := wire.NewClientConfig(first, wire.ClientConfig{BinaryWire: true, Redial: dial})
-	defer c.Close()
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	if !c.WireStats().BinaryWire {
-		t.Fatal("first connection did not negotiate binary")
-	}
-	first.Close() // sever the transport under the client
-	if err := c.Ping(); err != nil {
-		t.Fatal(err) // idempotent: redials and retries
+	e.killConn() // sever the transport under the client
+	if _, err := root.Down(); err != nil {
+		t.Fatal(err) // redials, resumes, replays the path
 	}
 	st := c.WireStats()
-	if st.Redials == 0 {
-		t.Fatal("transport loss did not redial")
+	if st.Redials != 1 || st.Resumes != 1 || len(taps) != 2 {
+		t.Fatalf("expected one redial with a session resume over two connections: %+v, %d connections", st, len(taps))
 	}
-	if !st.BinaryWire {
-		t.Fatal("redialed connection did not renegotiate binary")
+
+	var sent, recv int64
+	for i, tp := range taps {
+		tp.mu.Lock()
+		req := firstPayload(t, "client's first bytes", tp.sent, 'Q')
+		firstPayload(t, "server's first bytes", tp.recv, 'R')
+		sent += int64(len(tp.sent))
+		recv += int64(len(tp.recv))
+		tp.mu.Unlock()
+		want := []string{"open", "resume"}[i]
+		if !bytes.Contains(req, []byte(want)) {
+			t.Fatalf("connection %d: first request % x is not the %s op", i, req, want)
+		}
+	}
+	if st.BytesSent != sent || st.BytesRecv != recv {
+		t.Fatalf("byte counters %d/%d, the wire carried %d/%d", st.BytesSent, st.BytesRecv, sent, recv)
+	}
+	if st.OpBytesSent["open"] == 0 || st.OpBytesRecv["resume"] == 0 || st.OpBytesRecv["children"] == 0 {
+		t.Fatalf("per-op byte counters empty: sent=%v recv=%v", st.OpBytesSent, st.OpBytesRecv)
 	}
 }

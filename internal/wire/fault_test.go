@@ -176,7 +176,9 @@ func TestFaultOpTimeout(t *testing.T) {
 // failures.
 func TestFaultMidStreamCloseRecovers(t *testing.T) {
 	e := newEndpoint(paperMediator(t))
-	e.faultOnce = &faultnet.Config{CloseAfterBytes: 1200}
+	// open + down move 108 bytes and a ping exchange 23, so the cut lands
+	// around the 17th of the 40 pings below.
+	e.faultOnce = &faultnet.Config{CloseAfterBytes: 500}
 	c := dialEndpoint(t, e, fastCfg())
 
 	root, err := c.Open("rootv")
@@ -372,38 +374,6 @@ RETURN <Big> $B </Big>`); err != nil {
 	}
 	if err := c2.Ping(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestServerFrameLimit: an oversized request frame gets an error response
-// and the session keeps serving (raw protocol level).
-func TestServerFrameLimit(t *testing.T) {
-	med := paperMediator(t)
-	srv := wire.NewServer(med)
-	srv.MaxFrame = 1024
-	server, client := net.Pipe()
-	go func() {
-		defer server.Close()
-		_ = srv.ServeConn(server)
-	}()
-	defer client.Close()
-
-	send := func(line string) string {
-		if _, err := client.Write([]byte(line + "\n")); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 4096)
-		n, err := client.Read(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(buf[:n])
-	}
-	if resp := send(`{"id":1,"op":"query","query":"` + strings.Repeat("x", 4096) + `"}`); !strings.Contains(resp, "frame exceeds") {
-		t.Fatalf("oversized request response: %s", resp)
-	}
-	if resp := send(`{"id":2,"op":"ping"}`); !strings.Contains(resp, `"ok":true`) {
-		t.Fatalf("session died after oversized frame: %s", resp)
 	}
 }
 
@@ -688,8 +658,9 @@ func TestServerErrorLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Half a frame, then a hard close: the server sees a framing error.
-	if _, err := conn.Write([]byte(`{"id":1,"op":"pi`)); err != nil {
+	// Half a frame — a length prefix promising 64 bytes, two delivered — then
+	// a hard close: the server sees a framing error.
+	if _, err := conn.Write([]byte{0, 0, 0, 64, 'Q', 1}); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.Close()

@@ -1,16 +1,12 @@
 package wire
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 )
 
-// DefaultMaxFrame is the default bound on one protocol frame (a request or
-// response line). The old implementation capped frames at bufio.Scanner's
-// 1 MiB and silently killed the session beyond it; frames are now read
-// length-aware up to this limit and an oversized frame yields a typed
+// DefaultMaxFrame is the default bound on one protocol frame's payload (a
+// request or a response). An oversized frame yields a typed
 // *FrameTooLargeError while the session keeps running.
 const DefaultMaxFrame = 16 << 20
 
@@ -23,8 +19,8 @@ const frameBufSize = 64 << 10
 var ErrFrameTooLarge = errors.New("wire: frame too large")
 
 // FrameTooLargeError reports a frame that exceeded the configured limit.
-// The oversized line is consumed and discarded, so framing stays intact and
-// the connection remains usable.
+// The oversized payload is consumed and discarded, so framing stays intact
+// and the connection remains usable.
 type FrameTooLargeError struct {
 	// Limit is the frame bound in bytes that was exceeded.
 	Limit int
@@ -36,39 +32,3 @@ func (e *FrameTooLargeError) Error() string {
 
 // Is makes errors.Is(err, ErrFrameTooLarge) true.
 func (e *FrameTooLargeError) Is(target error) bool { return target == ErrFrameTooLarge }
-
-// readFrame reads one newline-delimited frame of at most max bytes (not
-// counting the newline). On an oversized frame it drains the remainder of
-// the line — resynchronizing the stream — and returns *FrameTooLargeError.
-func readFrame(r *bufio.Reader, max int) ([]byte, error) {
-	if max <= 0 {
-		max = DefaultMaxFrame
-	}
-	var buf []byte
-	for {
-		chunk, err := r.ReadSlice('\n')
-		if len(buf)+len(chunk) > max+1 { // +1: the trailing newline is free
-			for err == bufio.ErrBufferFull { // drain to end of line
-				_, err = r.ReadSlice('\n')
-			}
-			if err != nil {
-				return nil, err
-			}
-			return nil, &FrameTooLargeError{Limit: max}
-		}
-		buf = append(buf, chunk...)
-		switch err {
-		case nil:
-			return buf[:len(buf)-1], nil
-		case bufio.ErrBufferFull:
-			continue
-		case io.EOF:
-			if len(buf) > 0 {
-				return nil, io.ErrUnexpectedEOF
-			}
-			return nil, io.EOF
-		default:
-			return nil, err
-		}
-	}
-}

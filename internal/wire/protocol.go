@@ -1,10 +1,13 @@
 // Package wire implements the client/server split of the MIX system: the
 // paper's mediator is a server and "a thin client-side library associates
 // with each p_i the object id of the corresponding object exported by the
-// mediator" (Section 2). The server exports QDOM over a line-oriented JSON
-// protocol; the client library exposes the same Down/Right/Label/Value/
-// QueryFrom surface as the in-process API, with node handles standing in
-// for the client-resident objects.
+// mediator" (Section 2). The server exports QDOM as one request frame and
+// one response frame per command, length-prefixed and binary from the first
+// byte of a connection (codec.go; the paper fixes what crosses this boundary,
+// not its encoding, so there is one and nothing is negotiated); the client
+// library exposes the same Down/Right/Label/Value/QueryFrom surface as the
+// in-process API, with node handles standing in for the client-resident
+// objects.
 //
 // Laziness crosses the wire: a navigation command evaluates exactly one
 // QDOM step at the mediator, so remote clients get the same demand-driven
@@ -35,7 +38,7 @@ package wire
 
 // Request is one client command.
 type Request struct {
-	ID int64 `json:"id"`
+	ID int64
 	// Op is the command: open, query, queryFrom, down, right, up, label,
 	// value, nodeID, materialize, children, scan, stats, ping, close,
 	// resume. close releases the node handle it names and is idempotent.
@@ -45,80 +48,72 @@ type Request struct {
 	// session token (Token) as the first request of a reconnected session so
 	// an evicted client re-attaches its session record; it is idempotent and
 	// a no-op on servers without session limits.
-	Op string `json:"op"`
+	Op string
 	// View names the view for open.
-	View string `json:"view,omitempty"`
+	View string
 	// Query carries the query text for query/queryFrom.
-	Query string `json:"query,omitempty"`
+	Query string
 	// Handle identifies the node for navigation and queryFrom.
-	Handle int64 `json:"handle,omitempty"`
+	Handle int64
 	// Skip is the child index a children batch starts at.
-	Skip int `json:"skip,omitempty"`
+	Skip int
 	// Max caps the number of frames a children/scan batch may carry. The
 	// server caps it further by its own batch, handle-table and frame
 	// budgets; 0 means 1.
-	Max int `json:"max,omitempty"`
+	Max int
 	// Deep asks children/scan to ship each frame's materialized subtree
 	// XML alongside the navigation fields (federated source scans).
-	Deep bool `json:"deep,omitempty"`
+	Deep bool
 	// Release piggybacks node handles to free before the op runs: consumed
 	// batch frames ride along on the next request instead of costing one
 	// close round trip each. Releasing an unknown handle is a no-op.
-	Release []int64 `json:"release,omitempty"`
+	Release []int64
 	// Token carries the resumable session token for the resume op.
-	Token string `json:"token,omitempty"`
-	// Codec proposes a wire codec switch. A client configured for the binary
-	// codec sets "bin" on the first (JSON) request of each connection; a
-	// server that also speaks binary echoes it on the OK response, and both
-	// sides switch to length-prefixed binary frames for every subsequent
-	// exchange on that connection. Old peers ignore the field (or never send
-	// it) and the connection stays on JSON — negotiation costs no extra
-	// round trip and no byte when the knob is off.
-	Codec string `json:"codec,omitempty"`
+	Token string
 }
 
 // NodeFrame is one node of a batched children/scan response: the same
 // piggybacked navigation fields a single-step response carries, plus the
 // subtree XML under Deep.
 type NodeFrame struct {
-	Handle int64  `json:"handle"`
-	Label  string `json:"label,omitempty"`
-	NodeID string `json:"nodeId,omitempty"`
-	IsLeaf bool   `json:"isLeaf,omitempty"`
-	Value  string `json:"value,omitempty"`
-	XML    string `json:"xml,omitempty"`
+	Handle int64
+	Label  string
+	NodeID string
+	IsLeaf bool
+	Value  string
+	XML    string
 }
 
 // Response answers one request.
 type Response struct {
-	ID    int64  `json:"id"`
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
+	ID    int64
+	OK    bool
+	Error string
 
 	// Busy marks an admission rejection: the server is at its session limit
 	// (or draining) and the op was never executed, so any op may be retried
 	// after RetryAfterMs milliseconds. The server closes the connection
 	// behind a busy response; the client redials on retry. The client
 	// surfaces Busy as *ServerBusyError and retries with jittered backoff.
-	Busy         bool  `json:"busy,omitempty"`
-	RetryAfterMs int64 `json:"retryAfterMs,omitempty"`
+	Busy         bool
+	RetryAfterMs int64
 
 	// Token is the session's resumable token, sent once on the first
 	// response after admission (and echoed by the resume op) when the
 	// server runs with session limits. An evicted client presents it in a
 	// resume request after redialing to re-attach its session record.
-	Token string `json:"token,omitempty"`
+	Token string
 
 	// Handle is the node handle produced by open/query/queryFrom/down/
 	// right/up. Null (0 with Nil=true) encodes the paper's ⊥.
-	Handle int64 `json:"handle,omitempty"`
-	Nil    bool  `json:"nil,omitempty"`
+	Handle int64
+	Nil    bool
 
-	Label  string `json:"label,omitempty"`
-	Value  string `json:"value,omitempty"`
-	IsLeaf bool   `json:"isLeaf,omitempty"`
-	NodeID string `json:"nodeId,omitempty"`
-	XML    string `json:"xml,omitempty"`
+	Label  string
+	Value  string
+	IsLeaf bool
+	NodeID string
+	XML    string
 
 	// DataVersion is the serving mediator's monotonic data version
 	// (registrations plus every relational store's mutation count),
@@ -126,19 +121,14 @@ type Response struct {
 	// node cache compare it against the last observed value and purge on
 	// change, so cache validation costs no dedicated round trip — any op
 	// (ping included) doubles as the version check.
-	DataVersion int64 `json:"dataVersion,omitempty"`
+	DataVersion int64
 
 	// Frames carries a children/scan batch in sibling order.
-	Frames []NodeFrame `json:"frames,omitempty"`
+	Frames []NodeFrame
 	// More reports that siblings remain past the last frame (the batch was
 	// cut by Max or by a server budget, not by exhaustion).
-	More bool `json:"more,omitempty"`
+	More bool
 
-	TuplesShipped   int64 `json:"tuplesShipped,omitempty"`
-	QueriesReceived int64 `json:"queriesReceived,omitempty"`
-
-	// Codec accepts a client's codec proposal (see Request.Codec): echoed as
-	// "bin" on the OK response to a negotiating request, after which this
-	// connection speaks length-prefixed binary frames.
-	Codec string `json:"codec,omitempty"`
+	TuplesShipped   int64
+	QueriesReceived int64
 }

@@ -2,11 +2,11 @@ package wire
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,13 +25,14 @@ const DefaultMaxHandles = 1 << 16
 // whatever the client asks for.
 const DefaultMaxBatch = 256
 
-// frameOverhead is the per-frame JSON envelope estimate used when cutting a
-// batch to the session's frame budget.
+// frameOverhead is the per-frame envelope bound used when cutting a batch to
+// the session's frame budget: a frame encodes to its raw string lengths plus
+// a flag byte and at most five varints, so frameSize never underestimates.
 const frameOverhead = 96
 
 // sessBufSize is the per-session read buffer. Sessions number in the tens
 // of thousands on a loaded server, so the buffer is deliberately smaller
-// than the client's frameBufSize — readFrame reassembles frames of any size
+// than the client's frameBufSize — readBinFrame reassembles frames of any size
 // from it chunk by chunk, only per-session memory changes.
 const sessBufSize = 16 << 10
 
@@ -57,14 +58,6 @@ type Server struct {
 	// MaxBatch caps the frames one children/scan response carries, whatever
 	// the client's Max asks for; 0 means DefaultMaxBatch.
 	MaxBatch int
-	// BinaryWire accepts client proposals for the length-prefixed binary
-	// codec (see codec.go): when a JSON request carries Codec "bin", the OK
-	// response echoes it and the connection switches to binary frames for
-	// every later exchange. Off (the default) proposals are ignored and the
-	// server's wire bytes are identical to prior releases — JSON clients are
-	// unaffected either way, since negotiation only ever starts from a
-	// client proposal.
-	BinaryWire bool
 	// ErrorLog, when set, receives per-connection failures (malformed
 	// framing, I/O errors) that Serve would otherwise swallow.
 	ErrorLog func(error)
@@ -249,35 +242,13 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 	}
 	defer s.finish(sess)
 	in := bufio.NewReaderSize(conn, sessBufSize)
-	out := bufio.NewWriter(conn)
-	enc := json.NewEncoder(out)
-	// binCodec marks a connection that negotiated the binary codec: flipped
-	// after the OK response that echoes a client's Codec proposal (the client
-	// flips after reading it — the same protocol point). binBuf is the reused
-	// binary encode buffer.
-	binCodec := false
-	var binBuf []byte
+	var binBuf []byte // reused response frame buffer
 	reply := func(resp Response) error {
-		if binCodec {
-			binBuf = encodeResponse(binBuf[:0], &resp)
-			if err := writeBinFrame(out, binBuf); err != nil {
-				return err
-			}
-			return out.Flush()
-		}
-		if err := enc.Encode(&resp); err != nil {
-			return err
-		}
-		return out.Flush()
+		binBuf = encodeResponse(frameStart(binBuf), &resp)
+		return writeBinFrame(conn, binBuf)
 	}
 	for {
-		var line []byte
-		var err error
-		if binCodec {
-			line, err = readBinFrame(in, s.maxFrame())
-		} else {
-			line, err = readFrame(in, s.maxFrame())
-		}
+		frame, err := readBinFrame(in, s.maxFrame())
 		if err != nil {
 			var tooBig *FrameTooLargeError
 			if errors.As(err, &tooBig) {
@@ -291,17 +262,8 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 			}
 			return err
 		}
-		if len(line) == 0 && !binCodec {
-			continue // blank JSON line; an empty binary payload is malformed
-		}
-		var req Request
 		var resp Response
-		var derr error
-		if binCodec {
-			req, derr = decodeRequest(line)
-		} else {
-			derr = json.Unmarshal(line, &req)
-		}
+		req, derr := decodeRequest(frame)
 		if derr != nil {
 			resp = Response{OK: false, Error: "malformed request: " + derr.Error()}
 		} else if limits {
@@ -329,19 +291,12 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 				resp.Token = sess.token
 				sess.tokenPending = false
 			}
-			if !binCodec && s.BinaryWire && req.Codec == codecBin {
-				// Accept the client's codec proposal: echo it on this OK
-				// response and switch once it is on the wire. The client
-				// switches on reading the echo, so both sides flip at the
-				// same protocol point.
-				resp.Codec = codecBin
-			}
 		}
 		if err := reply(resp); err != nil {
 			return err
 		}
-		if resp.Codec == codecBin {
-			binCodec = true
+		if sess.panicked != nil {
+			return sess.panicked // answered above; drop this connection only
 		}
 	}
 }
@@ -376,6 +331,10 @@ type session struct {
 	lastActive atomic.Int64 // unix nanos of the last request boundary
 	inflight   atomic.Int64
 	opNanos    atomic.Int64
+
+	// panicked holds a panic recovered while handling a request (serving
+	// goroutine only); ServeConn returns it once the error response is out.
+	panicked error
 
 	mu       sync.Mutex
 	nodes    map[int64]sessEntry
@@ -463,7 +422,15 @@ func (s *session) handleCount() int {
 	return len(s.nodes)
 }
 
-func (s *session) handle(req Request) Response {
+func (s *session) handle(req Request) (resp Response) {
+	// Queries, views and sources run below: a panic in any of them costs this
+	// request an error response and this connection, never the process.
+	defer func() {
+		if p := recover(); p != nil {
+			s.panicked = fmt.Errorf("wire: panic serving %s: %v\n%s", req.Op, p, debug.Stack())
+			resp = Response{ID: req.ID, Error: fmt.Sprintf("internal error serving %s: %v", req.Op, p)}
+		}
+	}()
 	// Piggybacked releases run before the op: a batch consumer frees the
 	// frames it is done with on its next request instead of paying one close
 	// round trip per frame, and the freed slots are available to the op
@@ -471,7 +438,7 @@ func (s *session) handle(req Request) Response {
 	for _, h := range req.Release {
 		s.release(h)
 	}
-	resp := Response{ID: req.ID, OK: true}
+	resp = Response{ID: req.ID, OK: true}
 	fail := func(err error) Response {
 		return Response{ID: req.ID, OK: false, Error: err.Error()}
 	}
@@ -558,6 +525,9 @@ func (s *session) handle(req Request) Response {
 		if err != nil {
 			return fail(err)
 		}
+		if req.Skip < 0 {
+			return fail(fmt.Errorf("children: negative skip %d", req.Skip))
+		}
 		return s.batchResp(req, n.ChildStream(req.Skip))
 	case "scan":
 		// Batched r*: up to Max right-siblings of Handle itself.
@@ -634,7 +604,7 @@ type frameAppender struct {
 }
 
 func newFrameAppender(resp *Response, max, maxFrame int) *frameAppender {
-	// Leave headroom for the response's own JSON envelope.
+	// Leave headroom for the response's own tagged fields.
 	return &frameAppender{resp: resp, max: max, budget: maxFrame - maxFrame/8}
 }
 

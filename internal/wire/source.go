@@ -71,7 +71,6 @@ func (d *RemoteDoc) TransferStats() source.TransferStats {
 		Redials:    st.Redials,
 		Resumes:    st.Resumes,
 		Breaker:    d.root.c.BreakerSnapshot().State.String(),
-		BinaryWire: st.BinaryWire,
 	}
 }
 

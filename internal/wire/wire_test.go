@@ -282,44 +282,6 @@ RETURN <Hit> $C </Hit>`)
 	}
 }
 
-// TestProtocolRobustness: malformed requests and unknown ops/handles get
-// error responses without killing the session.
-func TestProtocolRobustness(t *testing.T) {
-	med := mix.New()
-	med.AddRelationalSource(workload.PaperDB())
-	server, client := net.Pipe()
-	go func() {
-		defer server.Close()
-		_ = wire.NewServer(med).ServeConn(server)
-	}()
-	defer client.Close()
-
-	send := func(line string) string {
-		if _, err := client.Write([]byte(line + "\n")); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 4096)
-		n, err := client.Read(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(buf[:n])
-	}
-
-	if resp := send(`{not json`); !strings.Contains(resp, "malformed") {
-		t.Fatalf("malformed request response: %s", resp)
-	}
-	if resp := send(`{"id":1,"op":"teleport"}`); !strings.Contains(resp, "unknown op") {
-		t.Fatalf("unknown op response: %s", resp)
-	}
-	if resp := send(`{"id":2,"op":"down","handle":999}`); !strings.Contains(resp, "unknown handle") {
-		t.Fatalf("unknown handle response: %s", resp)
-	}
-	if resp := send(`{"id":3,"op":"ping"}`); !strings.Contains(resp, `"ok":true`) {
-		t.Fatalf("session died after errors: %s", resp)
-	}
-}
-
 // TestNilRemoteNodeSafety: ⊥ handling in the client library.
 func TestNilRemoteNodeSafety(t *testing.T) {
 	var n *wire.RemoteNode

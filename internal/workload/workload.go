@@ -219,7 +219,7 @@ func PaperXMLDoc(relation string) *xtree.Node {
 	db := PaperDB()
 	t, _ := db.Table(relation)
 	root := &xtree.Node{ID: xtree.ID("&xml." + relation), Label: "list"}
-	for i, row := range t.Rows {
+	for i, row := range t.Rows() {
 		elem := &xtree.Node{ID: xtree.ID(fmt.Sprintf("&x%s%d", relation, i)), Label: relation}
 		for j, col := range t.Schema.Columns {
 			elem.Children = append(elem.Children, &xtree.Node{

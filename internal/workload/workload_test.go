@@ -10,11 +10,11 @@ import (
 func TestPaperDBShape(t *testing.T) {
 	db := workload.PaperDB()
 	cust, ok := db.Table("customer")
-	if !ok || len(cust.Rows) != 2 {
+	if !ok || len(cust.Rows()) != 2 {
 		t.Fatalf("customer rows: %v", ok)
 	}
 	ord, ok := db.Table("orders")
-	if !ok || len(ord.Rows) != 4 {
+	if !ok || len(ord.Rows()) != 4 {
 		t.Fatalf("orders rows: %v", ok)
 	}
 	if cust.Schema.Key[0] != 0 {
@@ -45,19 +45,19 @@ func TestScaleDB(t *testing.T) {
 	db := workload.ScaleDB("s", 10, 3, 42)
 	cust, _ := db.Table("customer")
 	ord, _ := db.Table("orders")
-	if len(cust.Rows) != 10 || len(ord.Rows) != 30 {
-		t.Fatalf("scale sizes: %d customers, %d orders", len(cust.Rows), len(ord.Rows))
+	if len(cust.Rows()) != 10 || len(ord.Rows()) != 30 {
+		t.Fatalf("scale sizes: %d customers, %d orders", len(cust.Rows()), len(ord.Rows()))
 	}
 	// Reproducible.
 	db2 := workload.ScaleDB("s", 10, 3, 42)
 	ord2, _ := db2.Table("orders")
-	for i := range ord.Rows {
-		if ord.Rows[i][2] != ord2.Rows[i][2] {
+	for i := range ord.Rows() {
+		if ord.Rows()[i][2] != ord2.Rows()[i][2] {
 			t.Fatal("ScaleDB not reproducible")
 		}
 	}
 	// Keys zero-padded: lexicographic == numeric order.
-	if cust.Rows[0][0].S >= cust.Rows[1][0].S {
+	if cust.Rows()[0][0].S >= cust.Rows()[1][0].S {
 		t.Fatal("customer keys not ordered")
 	}
 }
@@ -76,15 +76,15 @@ func TestAuctionDB(t *testing.T) {
 	db := workload.AuctionDB(4, 5, 7)
 	cams, _ := db.Table("camera")
 	lenses, _ := db.Table("lens")
-	if len(cams.Rows) != 4 || len(lenses.Rows) != 20 {
-		t.Fatalf("auction sizes: %d cameras, %d lenses", len(cams.Rows), len(lenses.Rows))
+	if len(cams.Rows()) != 4 || len(lenses.Rows()) != 20 {
+		t.Fatalf("auction sizes: %d cameras, %d lenses", len(cams.Rows()), len(lenses.Rows()))
 	}
 	// Every lens references an existing camera.
 	ids := map[string]bool{}
-	for _, r := range cams.Rows {
+	for _, r := range cams.Rows() {
 		ids[r[0].S] = true
 	}
-	for _, r := range lenses.Rows {
+	for _, r := range lenses.Rows() {
 		if !ids[r[1].S] {
 			t.Fatalf("dangling lens camid %s", r[1].S)
 		}

@@ -107,8 +107,9 @@ func Doc(db *relstore.DB, relation string) (*xtree.Node, bool) {
 		return nil, false
 	}
 	root := &xtree.Node{ID: xtree.ID(RootID(db.Name, relation)), Label: "list"}
-	root.Children = make([]*xtree.Node, len(t.Rows))
-	for i, row := range t.Rows {
+	rows := t.Rows()
+	root.Children = make([]*xtree.Node, len(rows))
+	for i, row := range rows {
 		root.Children[i] = TupleElem(t.Schema, row, i)
 	}
 	return root, true

@@ -116,7 +116,7 @@ func TestWrapperMatchesTupleElem(t *testing.T) {
 	db := workload.PaperDB()
 	tab, _ := db.Table("orders")
 	doc, _ := wrapper.Doc(db, "orders")
-	for i, row := range tab.Rows {
+	for i, row := range tab.Rows() {
 		direct := wrapper.TupleElem(tab.Schema, row, i)
 		if !xtree.Equal(direct, doc.Children[i]) {
 			t.Fatalf("tuple %d differs: %s vs %s", i, direct, doc.Children[i])

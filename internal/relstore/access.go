@@ -96,14 +96,14 @@ func (l *Lookup) Find(probe Datum) Matches {
 		}
 	}
 	if l.path.sorted {
-		lo, hi := equalRange(rows.n, func(i int) int { return Compare(rows.at(i)[l.col], probe) })
+		lo, hi := equalRange(rows.n, func(i int) int { return Compare(rows.col(i, l.col), probe) })
 		return Matches{rows: rows, next: lo, hi: hi}
 	}
 	if l.perm == nil {
 		l.perm = l.scan.t.permutation(l.col, rows)
 	}
 	p := l.perm
-	lo, hi := equalRange(len(p.order), func(i int) int { return Compare(p.rows.at(int(p.order[i]))[l.col], probe) })
+	lo, hi := equalRange(len(p.order), func(i int) int { return Compare(p.rows.col(int(p.order[i]), l.col), probe) })
 	run := p.order[lo:hi]
 	if p.rows.n > rows.n {
 		// A later scan extended the permutation past this scan's mark. Equal
@@ -133,17 +133,20 @@ type Matches struct {
 	next, hi int     // cursor and end, over perm when set, else over rows
 }
 
-// Next returns the next row of the run, or ok=false after the last.
-func (m *Matches) Next() (row []Datum, ok bool) {
+// Next appends the next row of the run to dst and returns the result, or
+// returns dst and ok=false after the last. The store keeps rows by column
+// type, not as Datums, so a reader copies each row out; reusing dst keeps
+// the walk allocation-free.
+func (m *Matches) Next(dst []Datum) (row []Datum, ok bool) {
 	if m.next >= m.hi {
-		return nil, false
+		return dst, false
 	}
 	i := m.next
 	if m.perm != nil {
 		i = int(m.perm[i])
 	}
 	m.next++
-	return m.rows.at(i), true
+	return m.rows.appendRow(dst, i), true
 }
 
 // permutation is the positions of a table prefix sorted by (column value,
@@ -175,7 +178,7 @@ func (t *Table) permutation(col int, rows packed) *permutation {
 	for i := range fresh {
 		fresh[i] = int32(len(old) + i)
 	}
-	less := func(a, b int32) bool { return Compare(rows.at(int(a))[col], rows.at(int(b))[col]) < 0 }
+	less := func(a, b int32) bool { return Compare(rows.col(int(a), col), rows.col(int(b), col)) < 0 }
 	sort.SliceStable(fresh, func(i, j int) bool { return less(fresh[i], fresh[j]) })
 	// Merge forwards into order, whose tail holds fresh: the write index
 	// never passes the unread part of fresh, and once old is used up the rest

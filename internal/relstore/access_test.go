@@ -31,8 +31,10 @@ func mustScan(t *testing.T, db *DB) *Scan {
 // keysOf drains a run into the rows' first column.
 func keysOf(m Matches) []string {
 	var out []string
+	var row []Datum
 	for {
-		row, ok := m.Next()
+		var ok bool
+		row, ok = m.Next(row[:0])
 		if !ok {
 			return out
 		}
@@ -260,7 +262,7 @@ func TestPermutationIsExtendedAndCutAtTheMark(t *testing.T) {
 	// The extended order is the sorted order: by value, then position.
 	for i := 1; i < len(grown.order); i++ {
 		a, b := grown.order[i-1], grown.order[i]
-		if c := Compare(late.rows.at(int(a))[1], late.rows.at(int(b))[1]); c > 0 || c == 0 && a > b {
+		if c := Compare(late.rows.col(int(a), 1), late.rows.col(int(b), 1)); c > 0 || c == 0 && a > b {
 			t.Fatalf("permutation out of order at %d: rows %d, %d", i, a, b)
 		}
 	}

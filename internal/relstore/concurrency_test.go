@@ -139,7 +139,7 @@ func TestLookupBesideWriter(t *testing.T) {
 				var want []int64
 				mark := 0
 				for all := s.All(); ; mark++ {
-					row, ok := all.Next()
+					row, ok := all.Next(nil)
 					if !ok {
 						break
 					}
@@ -149,7 +149,7 @@ func TestLookupBesideWriter(t *testing.T) {
 				}
 				m := l.Find(probe)
 				for k := 0; ; k++ {
-					row, ok := m.Next()
+					row, ok := m.Next(nil)
 					if !ok {
 						if k != len(want) {
 							t.Errorf("Find(%s) at mark %d: %d rows, want %d", probe.S, mark, k, len(want))

@@ -41,9 +41,9 @@ func (t Type) String() string {
 }
 
 // Datum is one typed value. The zero Datum is the empty string. It is 32
-// bytes — a float shares the integer's word — so that a three-column row
-// fits Go's 96-byte size class; every resident row and every cached result
-// row is made of these.
+// bytes — a float shares the integer's word, which is also what a table
+// stores for a number. Rows in flight and cached result rows are made of
+// these; a table keeps only the values, by column type (see packed).
 type Datum struct {
 	Kind Type
 	I    int64 // the TInt value; the IEEE 754 bits of a TFloat, read through F

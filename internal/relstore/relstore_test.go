@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -173,26 +174,86 @@ func TestCompareProperty(t *testing.T) {
 }
 
 // TestResidentRowCostsItsDatums pins what a loaded table keeps per row: the
-// row's datums (32 bytes each) and nothing else — no slice header in an outer
-// list, no growth slack. 20 000 three-column integer rows must stay within
-// 2% of 20 000 × 96 bytes; a [][]Datum table held 120 bytes a row plus the
-// outer slice's slack. The store is what a mediator process retains, so this
-// is the floor under the benchmark's heap_live_mb.
+// row's values by column type — 16 bytes a string header, 8 a number — and
+// nothing else: no Datum kind words, no slice header in an outer list, no
+// growth slack. 20 000 rows must stay within 2% of that, plus 16 KiB for
+// the table's fixed parts (column statistics, chunk list), so a three-column
+// row is at most 48 bytes (96 as Datums, 120 as a [][]Datum table). The
+// strings' bytes are shared and allocated before the count. The store is
+// what a mediator process retains, so this is the floor under the
+// benchmark's heap_live_mb.
 func TestResidentRowCostsItsDatums(t *testing.T) {
 	const rows = 20000
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	db := NewDB("db")
-	db.MustCreate(Schema{Relation: "r", Columns: []Column{{Name: "a", Type: TInt}, {Name: "b", Type: TInt}, {Name: "c", Type: TInt}}, Key: []int{0}})
-	for i := int64(0); i < rows; i++ {
-		db.MustInsert("r", Int(i), Int(i*7), Int(-i))
+	texts := []string{"C000001", "Corp000001", "LosAngeles", "O00000001"}
+	for _, tc := range []struct {
+		name   string
+		types  []Type
+		perRow int64
+	}{
+		{"customer-shaped", []Type{TString, TString, TString}, 48},
+		{"orders-shaped", []Type{TString, TString, TInt}, 40},
+		{"numbers", []Type{TInt, TFloat, TInt}, 24},
+	} {
+		var cols []Column
+		for i, typ := range tc.types {
+			cols = append(cols, Column{Name: string(rune('a' + i)), Type: typ})
+		}
+		row := make([]Datum, len(cols))
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		db := NewDB("db")
+		db.MustCreate(Schema{Relation: "r", Columns: cols, Key: []int{0}})
+		for i := 0; i < rows; i++ {
+			for c, typ := range tc.types {
+				switch typ {
+				case TString:
+					row[c] = Str(texts[(i+c)%len(texts)])
+				case TFloat:
+					row[c] = Float(float64(i) / 2)
+				default:
+					row[c] = Int(int64(i * (c + 1)))
+				}
+			}
+			db.MustInsert("r", row...)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		got := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		if floor := rows * tc.perRow; got > floor+floor/50+16<<10 {
+			t.Errorf("%s: %d rows keep %d bytes resident, %.1f a row; their values are %d", tc.name, rows, got, float64(got)/rows, tc.perRow)
+		}
+		runtime.KeepAlive(db)
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	got := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	if floor := int64(rows * 3 * 32); got > floor+floor/50 {
-		t.Fatalf("%d rows keep %d bytes resident, %.1f a row; their datums are %d", rows, got, float64(got)/rows, floor)
+}
+
+// TestInsertRejectsWrongType: a column stores only values of its schema
+// type, so a value of another kind — a float for an int column included,
+// though both are a number word — is an error that leaves the table as it
+// was.
+func TestInsertRejectsWrongType(t *testing.T) {
+	db := NewDB("test")
+	db.MustCreate(Schema{Relation: "r", Columns: []Column{{Name: "n", Type: TInt}, {Name: "s", Type: TString}}})
+	db.MustInsert("r", Int(1), Str("one"))
+	v := db.Version()
+	for _, row := range [][]Datum{
+		{Float(2), Str("two")},
+		{Str("2"), Str("two")},
+		{Int(2), Int(2)},
+	} {
+		err := db.Insert("r", row)
+		if err == nil {
+			t.Fatalf("insert %v accepted", row)
+		}
+		if want := "expects"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("insert %v: error %q does not say what the column expects", row, err)
+		}
 	}
-	runtime.KeepAlive(db)
+	if db.Version() != v {
+		t.Fatal("a rejected insert moved the version")
+	}
+	tab, _ := db.Table("r")
+	if got := tab.Rows(); len(got) != 1 || got[0][0] != Int(1) || got[0][1] != Str("one") {
+		t.Fatalf("rows after rejected inserts = %v", got)
+	}
 }

@@ -50,50 +50,124 @@ type Table struct {
 	perms  []*permutation
 }
 
-// chunkDatums is the backing array rows share: Go's 8 KiB size class less
-// the 8 bytes its allocator keeps in an object that holds pointers, in
-// 32-byte datums, so a chunk wastes less than one row.
-const chunkDatums = (8<<10 - 8) / 32
+// Chunk sizes: Go's 8 KiB size class, less the 8 bytes its allocator keeps
+// in an object that holds pointers for the strings, so a chunk wastes less
+// than one row.
+const (
+	chunkStrings = (8<<10 - 8) / 16
+	chunkNumbers = 8 << 10 / 8
+)
 
 // packed is a table's rows, or a reader's prefix of them, in insertion
-// order: fixed-width rows back to back in chunks of per rows. A resident row
-// costs its datums and nothing else — no slice header in an outer list (24
-// bytes on a 96-byte row), no object of its own. Chunks are allocated at
-// full length and only ever written past n, and the chunk list only grows,
-// so a copy of the struct taken under the store lock is a stable snapshot
-// beside a concurrent Insert.
+// order, stored by column type: a chunk holds per rows as back-to-back
+// string values (16 bytes each) and back-to-back numbers (8 bytes each, an
+// int or a float's bits — Datum.I). A resident row costs its values and
+// nothing else: no Datum's kind word and unused halves (a Datum is 32
+// bytes), no slice header in an outer list, no object of its own. The
+// column kinds come from the schema, which Insert enforces. Chunks are
+// allocated at full length and only ever written past n, and the chunk list
+// only grows, so a copy of the struct taken under the store lock is a
+// stable snapshot beside a concurrent Insert.
 type packed struct {
-	chunks [][]Datum
-	w, per int // row width; rows per chunk
+	chunks []chunk
+	l      *layout
 	n      int // rows present
 }
 
-func newPacked(width int) packed {
-	return packed{w: width, per: max(1, chunkDatums/width)}
+type chunk struct {
+	s []string
+	v []int64
 }
 
-// at returns row i, capped so an append cannot reach its neighbour.
-func (p packed) at(i int) []Datum {
-	c := i / p.per
-	o := (i - c*p.per) * p.w
-	return p.chunks[c][o : o+p.w : o+p.w]
+// layout places a schema's columns in a chunk.
+type layout struct {
+	kinds  []Type
+	at     []int // per column: its index among the row's strings or numbers
+	ns, nv int   // strings and numbers a row holds
+	per    int   // rows per chunk
 }
 
-// add copies row in as row n.
+func newPacked(cols []Column) packed {
+	l := &layout{kinds: make([]Type, len(cols)), at: make([]int, len(cols))}
+	for i, c := range cols {
+		l.kinds[i] = c.Type
+		if c.Type == TString {
+			l.at[i], l.ns = l.ns, l.ns+1
+		} else {
+			l.at[i], l.nv = l.nv, l.nv+1
+		}
+	}
+	l.per = chunkStrings + chunkNumbers
+	if l.ns > 0 {
+		l.per = min(l.per, chunkStrings/l.ns)
+	}
+	if l.nv > 0 {
+		l.per = min(l.per, chunkNumbers/l.nv)
+	}
+	l.per = max(1, l.per)
+	return packed{l: l}
+}
+
+// values returns row i's strings and numbers, in the layout's order.
+func (p packed) values(i int) ([]string, []int64) {
+	l := p.l
+	k := i / l.per
+	r := i - k*l.per
+	c := &p.chunks[k]
+	return c.s[r*l.ns : (r+1)*l.ns], c.v[r*l.nv : (r+1)*l.nv]
+}
+
+// col returns column c of row i, reading only that value (lookups and
+// permutation merges call it per comparison).
+func (p packed) col(i, c int) Datum {
+	l := p.l
+	k := i / l.per
+	r := i - k*l.per
+	if t := l.kinds[c]; t != TString {
+		return Datum{Kind: t, I: p.chunks[k].v[r*l.nv+l.at[c]]}
+	}
+	return Datum{Kind: TString, S: p.chunks[k].s[r*l.ns+l.at[c]]}
+}
+
+// appendRow appends row i's values to dst.
+func (p packed) appendRow(dst []Datum, i int) []Datum {
+	s, v := p.values(i)
+	for c, t := range p.l.kinds {
+		if t == TString {
+			dst = append(dst, Datum{Kind: TString, S: s[p.l.at[c]]})
+		} else {
+			dst = append(dst, Datum{Kind: t, I: v[p.l.at[c]]})
+		}
+	}
+	return dst
+}
+
+// add stores row, whose kinds match the layout, as row n.
 func (p *packed) add(row []Datum) {
-	if p.n == len(p.chunks)*p.per {
-		p.chunks = append(p.chunks, make([]Datum, p.per*p.w))
+	l := p.l
+	if p.n == len(p.chunks)*l.per {
+		p.chunks = append(p.chunks, chunk{s: make([]string, l.per*l.ns), v: make([]int64, l.per*l.nv)})
+	}
+	s, v := p.values(p.n)
+	for c, d := range row {
+		if l.kinds[c] == TString {
+			s[l.at[c]] = d.S
+		} else {
+			v[l.at[c]] = d.I
+		}
 	}
 	p.n++
-	copy(p.at(p.n-1), row)
 }
 
-// all builds the [][]Datum view of the rows: one header per row, for callers
-// that walk a whole relation once (fixtures, exports, tests).
+// all copies the rows out as [][]Datum, for callers that walk a whole
+// relation once (fixtures, exports, tests).
 func (p packed) all() [][]Datum {
+	w := len(p.l.kinds)
+	flat := make([]Datum, 0, p.n*w)
 	out := make([][]Datum, p.n)
 	for i := range out {
-		out[i] = p.at(i)
+		flat = p.appendRow(flat, i)
+		out[i] = flat[i*w : (i+1)*w : (i+1)*w]
 	}
 	return out
 }
@@ -143,7 +217,7 @@ func (db *DB) Create(s Schema) (*Table, error) {
 	if _, exists := db.tables[s.Relation]; exists {
 		return nil, fmt.Errorf("relstore: relation %s already exists", s.Relation)
 	}
-	t := &Table{Schema: s, rows: newPacked(len(s.Columns)), stats: make([]colStat, len(s.Columns)), perms: make([]*permutation, len(s.Columns))}
+	t := &Table{Schema: s, rows: newPacked(s.Columns), stats: make([]colStat, len(s.Columns)), perms: make([]*permutation, len(s.Columns))}
 	db.tables[s.Relation] = t
 	db.version.Add(1)
 	return t, nil
@@ -158,7 +232,8 @@ func (db *DB) MustCreate(s Schema) *Table {
 	return t
 }
 
-// Insert appends a copy of row after checking arity and types.
+// Insert appends a copy of row after checking arity and types. The check is
+// what the storage relies on: a column keeps only the values of its type.
 func (db *DB) Insert(relation string, row []Datum) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -177,7 +252,7 @@ func (db *DB) Insert(relation string, row []Datum) error {
 		}
 	}
 	if n := t.rows.n; n > 0 && !t.keyUnordered {
-		t.keyUnordered = !keyBelow(t.rows.at(n-1), row, t.Schema.Key)
+		t.keyUnordered = !keyBelow(t.rows, n-1, row, t.Schema.Key)
 	}
 	t.rows.add(row)
 	for i, d := range row {
@@ -187,11 +262,11 @@ func (db *DB) Insert(relation string, row []Datum) error {
 	return nil
 }
 
-// keyBelow reports whether row a's key is strictly below row b's, comparing
-// the key columns in order.
-func keyBelow(a, b []Datum, key []int) bool {
+// keyBelow reports whether stored row i's key is strictly below row's,
+// comparing the key columns in order.
+func keyBelow(rows packed, i int, row []Datum, key []int) bool {
 	for _, k := range key {
-		if c := Compare(a[k], b[k]); c != 0 {
+		if c := Compare(rows.col(i, k), row[k]); c != 0 {
 			return c < 0
 		}
 	}
@@ -213,11 +288,10 @@ func (db *DB) Table(relation string) (*Table, bool) {
 	return t, ok
 }
 
-// RowsSnapshot returns the relation's current rows, read under the store
-// lock. Insert only ever appends (rows are never edited in place), so the
-// snapshot is stable beside concurrent mutations — readers that walk a
-// relation while producer goroutines insert must use it instead of
-// Table.Rows.
+// RowsSnapshot returns a copy of the relation's current rows, read under
+// the store lock, so it is stable beside concurrent mutations — readers that
+// walk a relation while producer goroutines insert must use it (or Scan)
+// instead of Table.Rows.
 func (db *DB) RowsSnapshot(relation string) ([][]Datum, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

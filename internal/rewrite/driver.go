@@ -19,11 +19,12 @@ import (
 	"mix/internal/xmas"
 )
 
-// Step records one applied rewrite for tracing (the Figure 13→21 golden test
-// replays the trace).
+// Step records one applied rewrite. Optimize and OptimizeTraced append one
+// per fired rule, so len(steps) counts the rules fired; only OptimizeTraced
+// renders Plan.
 type Step struct {
 	Rule string
-	Plan string // plan rendering after the step
+	Plan string // plan rendering after the step; "" unless traced
 }
 
 // Options tune the optimizer; the zero value enables everything. The
@@ -52,6 +53,17 @@ type Options struct {
 // preserve its exported schema modulo renaming. A gate rejection surfaces
 // as a *GateError and always means a rule bug.
 func Optimize(plan xmas.Op, opts Options) (xmas.Op, []Step, error) {
+	return optimize(plan, opts, false)
+}
+
+// OptimizeTraced is Optimize that also renders the whole plan into every
+// Step (Mediator.ExplainTrace, the Figure 13→21 walk-through). The rules
+// fired and the plan returned are the same as Optimize's.
+func OptimizeTraced(plan xmas.Op, opts Options) (xmas.Op, []Step, error) {
+	return optimize(plan, opts, true)
+}
+
+func optimize(plan xmas.Op, opts Options, traced bool) (xmas.Op, []Step, error) {
 	debug := xmas.DebugEnabled()
 	if debug {
 		if err := xmas.Verify(plan); err != nil {
@@ -66,6 +78,12 @@ func Optimize(plan xmas.Op, opts Options) (xmas.Op, []Step, error) {
 	}
 	cur := xmas.Clone(plan)
 	var trace []Step
+	step := func(rule string) Step {
+		if traced {
+			return Step{Rule: rule, Plan: xmas.Format(cur)}
+		}
+		return Step{Rule: rule}
+	}
 	rules := ruleSet(opts)
 	for steps := 0; ; {
 		changed := false
@@ -81,7 +99,7 @@ func Optimize(plan xmas.Op, opts Options) (xmas.Op, []Step, error) {
 				}
 			}
 			cur = f.plan
-			trace = append(trace, Step{Rule: f.rule, Plan: xmas.Format(cur)})
+			trace = append(trace, step(f.rule))
 			changed = true
 			steps++
 			if steps > maxSteps {
@@ -100,7 +118,7 @@ func Optimize(plan xmas.Op, opts Options) (xmas.Op, []Step, error) {
 					}
 				}
 				cur = next
-				trace = append(trace, Step{Rule: "dead-elim", Plan: xmas.Format(cur)})
+				trace = append(trace, step("dead-elim"))
 				changed = true
 				steps++
 				continue
@@ -136,9 +154,20 @@ type rule struct {
 // state carries plan-wide context a rule may need (fresh-name generation)
 // and records the fired site for the debug gate.
 type state struct {
-	taken   map[xmas.Var]bool
+	root    xmas.Op
+	taken   map[xmas.Var]bool // every variable of root; nil until takenVars
 	oldSite xmas.Op
 	newSite xmas.Op
+}
+
+// takenVars returns the variables of the plan being rewritten, collected on
+// first use: only a rule that mints fresh names asks, and most steps fire
+// none.
+func (st *state) takenVars() map[xmas.Var]bool {
+	if st.taken == nil {
+		st.taken = xmas.AllVars(st.root)
+	}
+	return st.taken
 }
 
 // testExtraRules lets gate tests inject deliberately broken rules ahead of
@@ -198,7 +227,7 @@ func applyFirst(root xmas.Op, rules []rule) (xmas.Op, string, bool) {
 
 // applyFirstInfo is applyFirst plus the step details the debug gate needs.
 func applyFirstInfo(root xmas.Op, rules []rule) (firedStep, bool) {
-	st := &state{taken: xmas.AllVars(root)}
+	st := &state{root: root}
 	newRoot, name, ren, fired := tryAt(st, root, rules)
 	if !fired {
 		return firedStep{}, false

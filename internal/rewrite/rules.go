@@ -188,7 +188,7 @@ func ruleApplyUnfold(st *state, op xmas.Op) (xmas.Op, map[xmas.Var]xmas.Var, boo
 	if !ok {
 		return nil, nil, false
 	}
-	prime := xmas.FreshVars(inlined, st.taken, nil)
+	prime := xmas.FreshVars(inlined, st.takenVars(), nil)
 	inlined = xmas.Rename(inlined, prime)
 	primed := func(v xmas.Var) xmas.Var {
 		if nv, ok := prime[v]; ok {

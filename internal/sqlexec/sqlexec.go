@@ -50,7 +50,9 @@ func Exec(db *relstore.DB, q *sqlparse.Select) (relstore.Cursor, *Result, error)
 	return &countingCursor{db: db, it: pl.it}, &Result{Cols: q.Cols, Types: pl.types}, nil
 }
 
-// iter is the internal volcano iterator.
+// iter is the internal volcano iterator. A row is valid until the next call:
+// sortIter, the one stage that keeps rows, copies them, and projectIter hands
+// the cursor fresh ones.
 type iter interface {
 	next() ([]relstore.Datum, bool)
 }
@@ -423,6 +425,7 @@ type joinIter struct {
 
 	outer   []relstore.Datum
 	inner   relstore.Matches
+	row     []relstore.Datum // the joined row: outer, then the entry's columns; reused
 	started bool
 	done    bool
 }
@@ -436,6 +439,7 @@ func (j *joinIter) next() ([]relstore.Datum, bool) {
 					break
 				}
 				j.outer = outer
+				j.row = append(j.row[:0], outer...)
 			}
 			if j.lookup != nil {
 				j.inner = j.lookup.Find(j.probe(j.outer))
@@ -459,27 +463,22 @@ func (j *joinIter) next() ([]relstore.Datum, bool) {
 func (j *joinIter) nextInner() ([]relstore.Datum, bool) {
 candidates:
 	for {
-		rr, ok := j.inner.Next()
-		if !ok {
+		var ok bool
+		if j.row, ok = j.inner.Next(j.row[:len(j.outer)]); !ok {
 			return nil, false
 		}
+		own := j.row[len(j.outer):]
 		for _, f := range j.local {
-			if !f(rr) {
+			if !f(own) {
 				continue candidates
 			}
-		}
-		row := rr
-		if j.left != nil {
-			row = make([]relstore.Datum, 0, len(j.outer)+len(rr))
-			row = append(row, j.outer...)
-			row = append(row, rr...)
 		}
 		for _, f := range j.filters {
-			if !f(row) {
+			if !f(j.row) {
 				continue candidates
 			}
 		}
-		return row, true
+		return j.row, true
 	}
 }
 
@@ -498,7 +497,7 @@ func (s *sortIter) next() ([]relstore.Datum, bool) {
 			if !ok {
 				break
 			}
-			s.rows = append(s.rows, r)
+			s.rows = append(s.rows, append([]relstore.Datum(nil), r...)) // the input reuses r
 		}
 		sort.SliceStable(s.rows, func(i, j int) bool {
 			for _, k := range s.keys {

@@ -22,8 +22,14 @@ func ShardDB(db *relstore.DB, spec shard.Spec, idx int, key func(rel string, s r
 			continue
 		}
 		out.MustCreate(t.Schema)
-		rows, _ := db.RowsSnapshot(rel)
-		for ordinal, row := range rows {
+		scan, _ := db.Scan(rel)
+		all := scan.All()
+		var row []relstore.Datum
+		for ordinal := 0; ; ordinal++ {
+			var ok bool
+			if row, ok = all.Next(row[:0]); !ok {
+				break
+			}
 			k := ""
 			if key != nil {
 				k = key(rel, t.Schema, row)

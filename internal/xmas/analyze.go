@@ -121,56 +121,63 @@ func HasVar(schema []Var, v Var) bool {
 // plan), and relQuery/mkSrc/nestedSrc appear only as leaves (guaranteed by
 // construction but re-checked for rewrite-rule sanity).
 func Validate(root Op) error {
-	return validate(root, true)
+	_, err := validate(root, true)
+	return err
 }
 
-func validate(op Op, isRoot bool) error {
+// validate checks op and everything below it and returns op's schema, built
+// from the schemas its inputs returned so that no node's schema is computed
+// twice (Op.Schema recomputes its inputs' on every call).
+func validate(op Op, isRoot bool) ([]Var, error) {
 	if op == nil {
-		return fmt.Errorf("xmas: nil operator")
+		return nil, fmt.Errorf("xmas: nil operator")
 	}
 	if _, ok := op.(*TD); ok && !isRoot {
-		return fmt.Errorf("xmas: tD may only appear at the root of a plan")
+		return nil, fmt.Errorf("xmas: tD may only appear at the root of a plan")
 	}
 	ins := op.Inputs()
 	// A mkSrc input (naive composition) is itself a full plan rooted at tD.
 	_, childIsPlan := op.(*MkSrc)
-	for _, in := range ins {
-		if err := validate(in, childIsPlan); err != nil {
-			return err
+	inSchemas := make([][]Var, len(ins))
+	for i, in := range ins {
+		s, err := validate(in, childIsPlan)
+		if err != nil {
+			return nil, err
 		}
+		inSchemas[i] = s
 	}
 	// Schema checks. A mkSrc input exports a document, not bindings.
 	var inSchema []Var
 	if !childIsPlan {
-		for _, in := range ins {
-			inSchema = append(inSchema, in.Schema()...)
+		for _, s := range inSchemas {
+			inSchema = append(inSchema, s...)
 		}
 	}
-	seen := map[Var]bool{}
+	seen := make(map[Var]bool, len(inSchema))
 	for _, v := range inSchema {
 		if seen[v] {
-			return fmt.Errorf("xmas: %s: variable %s bound twice in input schema", op.Name(), v)
+			return nil, fmt.Errorf("xmas: %s: variable %s bound twice in input schema", op.Name(), v)
 		}
 		seen[v] = true
 	}
 	for _, v := range UsedVars(op) {
 		if !seen[v] {
-			return fmt.Errorf("xmas: %s uses %s which is not in its input schema %v", Describe(op), v, inSchema)
+			return nil, fmt.Errorf("xmas: %s uses %s which is not in its input schema %v", Describe(op), v, inSchema)
 		}
 	}
 	for _, v := range DefinedVars(op) {
 		if len(ins) > 0 && seen[v] {
-			return fmt.Errorf("xmas: %s redefines %s", Describe(op), v)
+			return nil, fmt.Errorf("xmas: %s redefines %s", Describe(op), v)
 		}
 	}
 	if m, ok := op.(*MkSrc); ok && m.In != nil {
 		if _, isTD := m.In.(*TD); !isTD {
-			return fmt.Errorf("xmas: mkSrc(%s) input must be a tD-rooted plan", m.SrcID)
+			return nil, fmt.Errorf("xmas: mkSrc(%s) input must be a tD-rooted plan", m.SrcID)
 		}
 	}
 	if a, ok := op.(*Apply); ok {
-		if err := validate(a.Plan, true); err != nil {
-			return fmt.Errorf("nested plan of %s: %w", Describe(a), err)
+		if _, err := validate(a.Plan, true); err != nil {
+			return nil, fmt.Errorf("nested plan of %s: %w", Describe(a), err)
 		}
 		found := false
 		Walk(a.Plan, func(x Op) bool {
@@ -180,10 +187,17 @@ func validate(op Op, isRoot bool) error {
 			return true
 		})
 		if !found {
-			return fmt.Errorf("xmas: nested plan of %s has no nSrc(%s)", Describe(a), a.InpVar)
+			return nil, fmt.Errorf("xmas: nested plan of %s has no nSrc(%s)", Describe(a), a.InpVar)
 		}
 	}
-	return nil
+	return schemaOf(op, func(in Op) []Var {
+		for i, x := range ins {
+			if x == in {
+				return inSchemas[i]
+			}
+		}
+		return in.Schema()
+	}), nil
 }
 
 // Equal reports structural equality of two plans, comparing every operator

@@ -30,6 +30,36 @@ type Op interface {
 	Name() string
 }
 
+// schemaOf holds the schema rule of every operator whose schema depends on
+// its inputs; in gives an input's schema. The Schema methods pass Op.Schema;
+// Validate passes the schemas it has already built, so that no subtree's
+// schema is computed twice. Other operators answer their own Schema.
+func schemaOf(op Op, in func(Op) []Var) []Var {
+	withOut := func(s []Var, out Var) []Var { return append(append(make([]Var, 0, len(s)+1), s...), out) }
+	switch o := op.(type) {
+	case *GetD:
+		return withOut(in(o.In), o.Out)
+	case *CrElt:
+		return withOut(in(o.In), o.Out)
+	case *Cat:
+		return withOut(in(o.In), o.Out)
+	case *Apply:
+		return withOut(in(o.In), o.Out)
+	case *Select:
+		return in(o.In)
+	case *OrderBy:
+		return in(o.In)
+	case *Join:
+		return append(append([]Var{}, in(o.L)...), in(o.R)...)
+	case *SemiJoin:
+		if o.Keep == KeepLeft {
+			return in(o.L)
+		}
+		return in(o.R)
+	}
+	return op.Schema()
+}
+
 // MkSrc is the source operator mkSrc_{&srcid,$X} (paper operator 1): it binds
 // Out to each child of the document root &srcid, producing one tuple per
 // child.
@@ -79,7 +109,7 @@ type GetD struct {
 	Out  Var
 }
 
-func (o *GetD) Schema() []Var { return append(append([]Var{}, o.In.Schema()...), o.Out) }
+func (o *GetD) Schema() []Var { return schemaOf(o, Op.Schema) }
 func (o *GetD) Inputs() []Op  { return []Op{o.In} }
 func (o *GetD) WithInputs(in ...Op) Op {
 	mustArity(o, in, 1)
@@ -95,7 +125,7 @@ type Select struct {
 	Cond Cond
 }
 
-func (o *Select) Schema() []Var { return o.In.Schema() }
+func (o *Select) Schema() []Var { return schemaOf(o, Op.Schema) }
 func (o *Select) Inputs() []Op  { return []Op{o.In} }
 func (o *Select) WithInputs(in ...Op) Op {
 	mustArity(o, in, 1)
@@ -130,10 +160,8 @@ type Join struct {
 	Cond *Cond
 }
 
-func (o *Join) Schema() []Var {
-	return append(append([]Var{}, o.L.Schema()...), o.R.Schema()...)
-}
-func (o *Join) Inputs() []Op { return []Op{o.L, o.R} }
+func (o *Join) Schema() []Var { return schemaOf(o, Op.Schema) }
+func (o *Join) Inputs() []Op  { return []Op{o.L, o.R} }
 func (o *Join) WithInputs(in ...Op) Op {
 	mustArity(o, in, 2)
 	c := *o
@@ -159,13 +187,8 @@ type SemiJoin struct {
 	Keep Side
 }
 
-func (o *SemiJoin) Schema() []Var {
-	if o.Keep == KeepLeft {
-		return o.L.Schema()
-	}
-	return o.R.Schema()
-}
-func (o *SemiJoin) Inputs() []Op { return []Op{o.L, o.R} }
+func (o *SemiJoin) Schema() []Var { return schemaOf(o, Op.Schema) }
+func (o *SemiJoin) Inputs() []Op  { return []Op{o.L, o.R} }
 func (o *SemiJoin) WithInputs(in ...Op) Op {
 	mustArity(o, in, 2)
 	c := *o
@@ -206,7 +229,7 @@ type CrElt struct {
 	Out       Var
 }
 
-func (o *CrElt) Schema() []Var { return append(append([]Var{}, o.In.Schema()...), o.Out) }
+func (o *CrElt) Schema() []Var { return schemaOf(o, Op.Schema) }
 func (o *CrElt) Inputs() []Op  { return []Op{o.In} }
 func (o *CrElt) WithInputs(in ...Op) Op {
 	mustArity(o, in, 1)
@@ -225,7 +248,7 @@ type Cat struct {
 	Out  Var
 }
 
-func (o *Cat) Schema() []Var { return append(append([]Var{}, o.In.Schema()...), o.Out) }
+func (o *Cat) Schema() []Var { return schemaOf(o, Op.Schema) }
 func (o *Cat) Inputs() []Op  { return []Op{o.In} }
 func (o *Cat) WithInputs(in ...Op) Op {
 	mustArity(o, in, 1)
@@ -288,7 +311,7 @@ type Apply struct {
 	Out    Var
 }
 
-func (o *Apply) Schema() []Var { return append(append([]Var{}, o.In.Schema()...), o.Out) }
+func (o *Apply) Schema() []Var { return schemaOf(o, Op.Schema) }
 func (o *Apply) Inputs() []Op  { return []Op{o.In} }
 func (o *Apply) WithInputs(in ...Op) Op {
 	mustArity(o, in, 1)
@@ -372,7 +395,7 @@ type OrderBy struct {
 	Vars []Var
 }
 
-func (o *OrderBy) Schema() []Var { return o.In.Schema() }
+func (o *OrderBy) Schema() []Var { return schemaOf(o, Op.Schema) }
 func (o *OrderBy) Inputs() []Op  { return []Op{o.In} }
 func (o *OrderBy) WithInputs(in ...Op) Op {
 	mustArity(o, in, 1)

@@ -119,7 +119,9 @@ func FreshVars(op Op, taken map[Var]bool, keep map[Var]bool) map[Var]Var {
 	return m
 }
 
-// AllVars collects every variable mentioned anywhere in the plan.
+// AllVars collects every variable mentioned anywhere in the plan. Schemas
+// need no walk of their own: every variable in an operator's schema is
+// defined or used by some operator at or below it.
 func AllVars(op Op) map[Var]bool {
 	out := map[Var]bool{}
 	Walk(op, func(x Op) bool {
@@ -127,9 +129,6 @@ func AllVars(op Op) map[Var]bool {
 			out[v] = true
 		}
 		for _, v := range UsedVars(x) {
-			out[v] = true
-		}
-		for _, v := range x.Schema() {
 			out[v] = true
 		}
 		return true

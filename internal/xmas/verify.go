@@ -30,7 +30,7 @@ func (e *VerifyError) Error() string {
 // nested-plan read; a plan that fails returns a *VerifyError instead of
 // compiling.
 func Verify(root Op) error {
-	if err := validate(root, true); err != nil {
+	if _, err := validate(root, true); err != nil {
 		return &VerifyError{Rule: "well-formed", Msg: err.Error()}
 	}
 	if verr := verifyNestedSchemas(root); verr != nil {

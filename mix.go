@@ -362,7 +362,7 @@ func (m *Mediator) ExplainTrace(query string) (steps []TraceStep, executable str
 	if opts.ChildLabels == nil {
 		opts.ChildLabels = m.childLabels
 	}
-	opt, trace, err := rewrite.Optimize(plan, opts)
+	opt, trace, err := rewrite.OptimizeTraced(plan, opts)
 	if err != nil {
 		return nil, "", err
 	}

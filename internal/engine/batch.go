@@ -2,8 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"strconv"
 
+	"mix/internal/relstore"
 	"mix/internal/xmas"
 	"mix/internal/xtree"
 )
@@ -258,15 +258,28 @@ func (v *vecCursor) Close() {
 // ---- condition evaluation over columns ----
 
 // preVal is a pre-resolved comparison operand: its comparable string (the
-// atom-then-id resolution of operandCmpValue) and its numeric form.
+// atom-then-id resolution of operandCmpValue) and its numeric form. A
+// number read from a relational row keeps its Datum instead of the string,
+// which is rendered only if it is compared as text.
 type preVal struct {
 	s     string
 	f     float64
 	num   bool
 	valid bool
+	d     *relstore.Datum
 }
 
 func preResolve(v Value) preVal {
+	if r, ok := v.(*rowRef); ok && r.spec.kind != specTuple {
+		d := &r.row.vals[r.spec.pos]
+		switch d.Kind {
+		case relstore.TInt:
+			return preVal{f: float64(d.I), num: true, valid: true, d: d}
+		case relstore.TFloat:
+			return preVal{f: d.F(), num: true, valid: true, d: d}
+		}
+		return preValOf(d.S)
+	}
 	s, ok := cmpKeyOf(v)
 	if !ok {
 		return preVal{}
@@ -274,17 +287,24 @@ func preResolve(v Value) preVal {
 	return preValOf(s)
 }
 
+// text is the operand's comparable string, rendered from its Datum the
+// first time it is asked for.
+func (p *preVal) text() string {
+	if p.d != nil {
+		p.s, p.d = p.d.String(), nil
+	}
+	return p.s
+}
+
 func preValOf(s string) preVal {
 	p := preVal{s: s, valid: true}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		p.f, p.num = f, true
-	}
+	p.f, p.num = xtree.ParseNumber(s)
 	return p
 }
 
 // cmpPre mirrors xtree.CompareValues on pre-parsed operands: numeric when
 // both sides parse as numbers, lexicographic otherwise.
-func cmpPre(x, y preVal) int {
+func cmpPre(x, y *preVal) int {
 	if x.num && y.num {
 		switch {
 		case x.f < y.f:
@@ -295,17 +315,18 @@ func cmpPre(x, y preVal) int {
 			return 0
 		}
 	}
+	xs, ys := x.text(), y.text()
 	switch {
-	case x.s < y.s:
+	case xs < ys:
 		return -1
-	case x.s > y.s:
+	case xs > ys:
 		return 1
 	default:
 		return 0
 	}
 }
 
-func evalPre(x preVal, op xtree.CmpOp, y preVal) bool {
+func evalPre(x *preVal, op xtree.CmpOp, y *preVal) bool {
 	if !x.valid || !y.valid {
 		return false
 	}
@@ -405,7 +426,7 @@ func (ce *condEval) eval(b Batch, r int) bool {
 	if ce.rIdx >= 0 {
 		right = preResolve(b.cols[ce.rIdx][r])
 	}
-	return evalPre(left, ce.cond.Op, right)
+	return evalPre(&left, ce.cond.Op, &right)
 }
 
 // ---- vectorized operators ----
@@ -509,7 +530,7 @@ func mergeGather(schema []xmas.Var, lb Batch, lsel []int, rb Batch, rsel []int) 
 func newVecHashJoin(ctx *Ctx, left Cursor, right func() Cursor, schema []xmas.Var, lv, rv xmas.Var, capw int) Cursor {
 	bi := &batchInput{in: left}
 	var rb Batch
-	var table map[string][]int
+	var table map[joinKey][]int
 	built := false
 	lIdx := -1
 	produce := func(max int) (Batch, bool, error) {
@@ -527,12 +548,11 @@ func newVecHashJoin(ctx *Ctx, left Cursor, right func() Cursor, schema []xmas.Va
 				if err != nil {
 					return Batch{}, false, err
 				}
-				table = map[string][]int{}
+				table = map[joinKey][]int{}
 				if rIdx := rb.colIndex(rv); rIdx >= 0 {
 					col := rb.cols[rIdx]
 					for r := 0; r < rb.n; r++ {
-						if a, ok := cmpKeyOf(col[r]); ok {
-							k := normKey(a)
+						if k, ok := joinKeyOf(col[r]); ok {
 							table[k] = append(table[k], r)
 						}
 					}
@@ -545,8 +565,8 @@ func newVecHashJoin(ctx *Ctx, left Cursor, right func() Cursor, schema []xmas.Va
 			var lsel, rsel []int
 			col := lb.cols[lIdx]
 			for r := 0; r < lb.n; r++ {
-				if a, ok := cmpKeyOf(col[r]); ok {
-					for _, m := range table[normKey(a)] {
+				if k, ok := joinKeyOf(col[r]); ok {
+					for _, m := range table[k] {
 						lsel = append(lsel, r)
 						rsel = append(rsel, m)
 					}
@@ -621,7 +641,7 @@ func newVecNLJoin(ctx *Ctx, left Cursor, right func() Cursor, schema []xmas.Var,
 						continue
 					}
 					for m := 0; m < rb.n; m++ {
-						if evalPre(lp, ce.cond.Op, rPre[m]) {
+						if evalPre(&lp, ce.cond.Op, &rPre[m]) {
 							lsel = append(lsel, r)
 							rsel = append(rsel, m)
 						}
@@ -629,7 +649,7 @@ func newVecNLJoin(ctx *Ctx, left Cursor, right func() Cursor, schema []xmas.Var,
 				case rPre != nil && ce.lIdx < 0:
 					// const vs right column
 					for m := 0; m < rb.n; m++ {
-						if evalPre(ce.lConst, ce.cond.Op, rPre[m]) {
+						if evalPre(&ce.lConst, ce.cond.Op, &rPre[m]) {
 							lsel = append(lsel, r)
 							rsel = append(rsel, m)
 						}
@@ -753,38 +773,46 @@ func newVecApply(ctx *Ctx, in Cursor, o *xmas.Apply, nestedIn compiledOp, collec
 // newVecGetD flattens path matches across a batch of input rows, probing the
 // catalog's dataguide index when the execution enables it. Output rows are
 // accumulated columnarly: the surviving input values are appended per column
-// alongside the new match column, so no per-row value slice exists.
+// alongside the new match column, so no per-row value slice exists. A path
+// step from a relational row's tuple reads the row (rowSteps) and builds
+// nothing.
 func newVecGetD(ctx *Ctx, in Cursor, o *xmas.GetD, schema []xmas.Var, capw int) Cursor {
 	bi := &batchInput{in: in}
 	var cur Batch
 	curRow := 0
-	var matches func() (*Elem, bool)
+	var matches func() (*Elem, bool) // path matches in an element
+	var steps rowSteps               // path matches in a row, while steps.r is set
 	fromIdx := -1
 	produce := func(max int) (Batch, bool, error) {
 		var out [][]Value // input columns ++ match column, filled per match
 		n := 0
-		emit := func(e *Elem) {
+		emit := func(v Value) {
 			if out == nil {
 				out = make([][]Value, len(cur.cols)+1)
 			}
 			for c := range cur.cols {
 				out[c] = append(out[c], cur.cols[c][curRow])
 			}
-			out[len(cur.cols)] = append(out[len(cur.cols)], NodeVal{E: e})
+			out[len(cur.cols)] = append(out[len(cur.cols)], v)
 			n++
 		}
 		for n < max {
 			if matches != nil {
-				e, ok := matches()
-				if ok {
-					e = e.WithProv(&Provenance{
+				if e, ok := matches(); ok {
+					emit(NodeVal{E: e.WithProv(&Provenance{
 						Var:   o.Out,
 						Fixed: []Fixation{{Var: o.Out, ID: e.ID}},
-					})
-					emit(e)
+					})})
 					continue
 				}
 				matches = nil
+				curRow++
+			} else if steps.r != nil {
+				if spec, ok := steps.next(); ok {
+					emit(steps.bind(spec, o.Out))
+					continue
+				}
+				steps = rowSteps{}
 				curRow++
 			}
 			if curRow >= cur.n {
@@ -804,6 +832,12 @@ func newVecGetD(ctx *Ctx, in Cursor, o *xmas.GetD, schema []xmas.Var, capw int) 
 				continue
 			}
 			switch v := cur.cols[fromIdx][curRow].(type) {
+			case *rowRef:
+				if v.spec.kind == specTuple {
+					steps = rowSteps{r: v, path: o.Path}
+				} else {
+					matches = pathStream(v.element(), o.Path)
+				}
 			case NodeVal:
 				matches = ctx.pathMatches(v.E, o.Path)
 			case ListVal:

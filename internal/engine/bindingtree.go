@@ -49,11 +49,12 @@ func bindingNode(t Tuple, ordinal int) *xtree.Node {
 
 func valueNode(v Value) *xtree.Node {
 	switch x := v.(type) {
-	case NodeVal:
-		if x.E == nil {
+	case NodeVal, *rowRef:
+		e, _ := nodeOf(x)
+		if e == nil {
 			return xtree.Text("⊥")
 		}
-		return x.E.Materialize()
+		return e.Materialize()
 	case ListVal:
 		n := &xtree.Node{Label: "list"}
 		for i := 0; ; i++ {

@@ -6,9 +6,7 @@ import (
 	"sort"
 	"strings"
 
-	"mix/internal/relstore"
 	"mix/internal/source"
-	"mix/internal/wrapper"
 	"mix/internal/xmas"
 	"mix/internal/xtree"
 )
@@ -272,88 +270,6 @@ func compileNestedSrc(o *xmas.NestedSrc) (compiledOp, error) {
 	}, nil
 }
 
-func compileRelQuery(o *xmas.RelQuery, cat *source.Catalog) (compiledOp, error) {
-	db, ok := cat.RelDB(o.Server)
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown relational server %s", o.Server)
-	}
-	schema := o.Schema()
-	maps := o.Maps
-	sql := o.SQL
-	return func(ctx *Ctx) Cursor {
-		var cur relstore.Cursor
-		done := false
-		return cursorFunc(func() (Tuple, bool, error) {
-			if done {
-				return Tuple{}, false, nil
-			}
-			if cur == nil {
-				// Under cost-based optimization, a query the catalog can
-				// answer from an already-cached full scan never leaves the
-				// mediator: the cached-scan-vs-pushdown decision is
-				// unconditional in the cache's favor (0 round trips, 0
-				// tuples shipped).
-				if ctx.opts.CostOpt {
-					if c, ok := cat.AnswerFromScanCache(db, sql); ok {
-						cur = c
-					}
-				}
-			}
-			if cur == nil {
-				// ExecRel routes through the catalog's result cache when one
-				// is enabled: a repeated pushed-down query against an
-				// unchanged store replays from mediator memory.
-				c, err := cat.ExecRel(db, sql)
-				if err != nil {
-					return Tuple{}, false, fmt.Errorf("engine: rQ(%s): %w", o.Server, err)
-				}
-				cur = c
-			}
-			row, ok := cur.Next()
-			if !ok {
-				done = true
-				cur.Close()
-				return Tuple{}, false, nil
-			}
-			vals := make([]Value, len(maps))
-			for i, m := range maps {
-				e := elemFromRow(m, row)
-				vals[i] = NodeVal{E: stampElem(e, m.V)}
-			}
-			return NewTuple(schema, vals), true, nil
-		})
-	}, nil
-}
-
-// elemFromRow rebuilds the element a VarMap describes from an SQL result
-// row: a wrapper tuple object when the map carries columns, or a bare value
-// leaf otherwise.
-func elemFromRow(m xmas.VarMap, row []relstore.Datum) *Elem {
-	if len(m.Cols) == 0 {
-		// Value-level variable: single key column holds the value.
-		pos := 0
-		if len(m.KeyCols) > 0 {
-			pos = m.KeyCols[0]
-		}
-		return NewLeaf("", row[pos].String())
-	}
-	keyVals := make([]string, len(m.KeyCols))
-	for i, k := range m.KeyCols {
-		keyVals[i] = row[k].String()
-	}
-	// Column-level variable (a single column with an empty child label):
-	// rebuild <col>value</col> with the wrapper's "&key.col" id.
-	if len(m.Cols) == 1 && m.Cols[0].Label == "" {
-		id := "&" + strings.Join(keyVals, ".") + "." + m.ElemLabel
-		return NewElem(id, m.ElemLabel, ListOf(NewLeaf("", row[m.Cols[0].Pos].String())))
-	}
-	cols := make([]wrapper.ColValue, len(m.Cols))
-	for i, c := range m.Cols {
-		cols[i] = wrapper.ColValue{Label: c.Label, Value: row[c.Pos].String()}
-	}
-	return FromNode(wrapper.PartialTupleElem(m.ElemLabel, keyVals, cols))
-}
-
 // ---- navigation ----
 
 func compileGetD(o *xmas.GetD, cat *source.Catalog) (compiledOp, error) {
@@ -565,7 +481,7 @@ func compileSemiJoin(o *xmas.SemiJoin, cat *source.Catalog) (compiledOp, error) 
 		// The filtering side drains on the first Next; a source-touching kept
 		// side prefetches through its exchange meanwhile.
 		input := openSide(ctx, keepSide, keepAsync)
-		var keys map[string]bool
+		var keys map[joinKey]bool
 		var others []Tuple
 		loaded := false
 		seen := map[string]bool{}
@@ -576,10 +492,10 @@ func compileSemiJoin(o *xmas.SemiJoin, cat *source.Catalog) (compiledOp, error) 
 					return Tuple{}, false, err
 				}
 				if hashable {
-					keys = map[string]bool{}
+					keys = map[joinKey]bool{}
 					for _, rt := range rows {
-						if a, ok := cmpKeyOf(rt.MustGet(otherVar)); ok {
-							keys[normKey(a)] = true
+						if k, ok := joinKeyOf(rt.MustGet(otherVar)); ok {
+							keys[k] = true
 						}
 					}
 				} else {
@@ -594,7 +510,7 @@ func compileSemiJoin(o *xmas.SemiJoin, cat *source.Catalog) (compiledOp, error) 
 				}
 				match := false
 				if hashable {
-					if a, ok := cmpKeyOf(t.MustGet(keepVar)); ok && keys[normKey(a)] {
+					if k, ok := joinKeyOf(t.MustGet(keepVar)); ok && keys[k] {
 						match = true
 					}
 				} else {
@@ -649,8 +565,8 @@ func stampElem(e *Elem, v xmas.Var) *Elem {
 // element list.
 func childListOf(spec xmas.ChildSpec, val Value) *LazyList[*Elem] {
 	if spec.Wrap {
-		if nv, ok := val.(NodeVal); ok {
-			return ListOf(stampElem(nv.E, spec.V))
+		if e, ok := nodeOf(val); ok {
+			return ListOf(stampElem(e, spec.V))
 		}
 		return ListOf[*Elem]()
 	}
@@ -665,10 +581,11 @@ func childListOf(spec xmas.ChildSpec, val Value) *LazyList[*Elem] {
 			i++
 			return e, true
 		})
-	case NodeVal:
+	case NodeVal, *rowRef:
 		// A bare element where a list was expected: treat as singleton
 		// (tolerant, mirrors the paper's loose figures).
-		return ListOf(stampElem(x.E, spec.V))
+		e, _ := nodeOf(x)
+		return ListOf(stampElem(e, spec.V))
 	}
 	return ListOf[*Elem]()
 }
@@ -906,11 +823,12 @@ func applyList(ctx *Ctx, inpVar xmas.Var, part SetVal, nestedIn compiledOp, coll
 				return nil, false
 			}
 			switch v := nt.MustGet(collectVar).(type) {
-			case NodeVal:
-				if v.E == nil {
+			case NodeVal, *rowRef:
+				e, _ := nodeOf(v)
+				if e == nil {
 					continue
 				}
-				e := stampElem(v.E, collectVar)
+				e = stampElem(e, collectVar)
 				if e.ID != "" {
 					if seen[e.ID] {
 						continue

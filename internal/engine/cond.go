@@ -1,8 +1,9 @@
 package engine
 
 import (
-	"strconv"
+	"math"
 
+	"mix/internal/relstore"
 	"mix/internal/xmas"
 	"mix/internal/xtree"
 )
@@ -67,11 +68,48 @@ func cmpKeyOf(v Value) (string, bool) {
 	return "", false
 }
 
-// normKey normalizes an atom for hashing so that hash joins agree with
-// xtree.CompareValues (numerically equal atoms hash equal).
-func normKey(atom string) string {
-	if f, err := strconv.ParseFloat(atom, 64); err == nil {
-		return strconv.FormatFloat(f, 'g', -1, 64)
+// joinKey is a value as the hash joins match it, agreeing with
+// xtree.CompareValues: an atom that parses as a number is keyed by that
+// number — numerically equal atoms match — and any other by its text. Two
+// numbers match when they print alike: -0 does not match 0, and every NaN
+// matches every NaN.
+type joinKey struct {
+	text string
+	bits uint64
+	num  bool
+}
+
+// joinKeyOf keys a value's cmpKeyOf. A column or value read from a
+// relational row is keyed from its Datum, without rendering it; nothing is
+// allocated either way.
+func joinKeyOf(v Value) (joinKey, bool) {
+	if r, ok := v.(*rowRef); ok && r.spec.kind != specTuple {
+		switch d := r.datum(); d.Kind {
+		case relstore.TInt:
+			return numberKey(float64(d.I)), true
+		case relstore.TFloat:
+			return numberKey(d.F()), true
+		default:
+			return textKey(d.S), true
+		}
 	}
-	return atom
+	a, ok := cmpKeyOf(v)
+	if !ok {
+		return joinKey{}, false
+	}
+	return textKey(a), true
+}
+
+func textKey(a string) joinKey {
+	if f, ok := xtree.ParseNumber(a); ok {
+		return numberKey(f)
+	}
+	return joinKey{text: a}
+}
+
+func numberKey(f float64) joinKey {
+	if f != f {
+		f = math.NaN()
+	}
+	return joinKey{bits: math.Float64bits(f), num: true}
 }

@@ -227,11 +227,11 @@ func (p *Program) start(ctx *Ctx) *Result {
 				}
 				return nil, false
 			}
-			nv, isNode := t.MustGet(p.v).(NodeVal)
-			if !isNode || nv.E == nil {
+			e, isNode := nodeOf(t.MustGet(p.v))
+			if !isNode || e == nil {
 				continue
 			}
-			e := stampElem(nv.E, p.v)
+			e = stampElem(e, p.v)
 			if e.ID != "" {
 				if seen[e.ID] {
 					continue

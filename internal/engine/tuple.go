@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -71,14 +72,17 @@ func (t Tuple) Project(vars []xmas.Var) Tuple {
 	return Tuple{schema: vars, vals: vals}
 }
 
-// Key renders a hashable identity over the given variables.
+// Key renders a hashable identity over the given variables: each value's
+// orderKey, prefixed by its length, so that no two different lists of keys
+// render alike — ("a\x00", "b") and ("a", "\x00b") included.
 func (t Tuple) Key(vars []xmas.Var) string {
-	var b strings.Builder
+	var b []byte
 	for _, v := range vars {
-		b.WriteString(orderKey(t.MustGet(v)))
-		b.WriteByte('\x00')
+		k := orderKey(t.MustGet(v))
+		b = binary.AppendUvarint(b, uint64(len(k)))
+		b = append(b, k...)
 	}
-	return b.String()
+	return string(b)
 }
 
 // String renders the tuple for diagnostics, forcing node values only.
@@ -91,6 +95,8 @@ func (t Tuple) String() string {
 		}
 		fmt.Fprintf(&b, "%s=", v)
 		switch x := t.vals[i].(type) {
+		case *rowRef:
+			b.WriteString(orderKey(x))
 		case NodeVal:
 			if x.E == nil {
 				b.WriteString("⊥")

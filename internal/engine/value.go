@@ -33,8 +33,9 @@ type Fixation struct {
 }
 
 // Elem is one element of a (possibly virtual) result document. Elements
-// either mirror a source node or were constructed by crElt; both kinds
-// expose their children through a memoizing lazy list.
+// either mirror a source node, stand for a tuple of a relational result row,
+// or were constructed by crElt; all expose their children through a
+// memoizing lazy list.
 type Elem struct {
 	ID    string
 	Label string
@@ -46,6 +47,9 @@ type Elem struct {
 	// elements and virtual list nodes). The dataguide path index is keyed by
 	// node pointer, so only elements that remember their node can be probed.
 	src *xtree.Node
+	// body is the wrapper tuple of a relational result row this element
+	// stands for; its children are built from the row on first access.
+	body *rowBody
 }
 
 // NewLeaf builds a leaf element (its label is its value).
@@ -96,8 +100,11 @@ func (e *Elem) Value() (string, bool) {
 
 // Kids returns the element's lazy child list (nil for leaves).
 func (e *Elem) Kids() *LazyList[*Elem] {
-	if e == nil || e.leaf {
+	switch {
+	case e == nil || e.leaf:
 		return nil
+	case e.body != nil:
+		return e.body.children()
 	}
 	return e.kids
 }
@@ -105,11 +112,13 @@ func (e *Elem) Kids() *LazyList[*Elem] {
 // Atom returns the comparable atomic value, mirroring xtree.Node.Atom: a
 // leaf's own label, or the label of a sole leaf child.
 func (e *Elem) Atom() (string, bool) {
-	if e == nil {
+	switch {
+	case e == nil:
 		return "", false
-	}
-	if e.leaf {
+	case e.leaf:
 		return e.Label, true
+	case e.body != nil:
+		return "", false // a wrapper tuple's children are its columns, never leaves
 	}
 	first, ok := e.kids.Get(0)
 	if !ok || !first.leaf {
@@ -143,8 +152,9 @@ func (e *Elem) Materialize() *xtree.Node {
 	if e.leaf {
 		return n
 	}
+	kids := e.Kids()
 	for i := 0; ; i++ {
-		k, ok := e.kids.Get(i)
+		k, ok := kids.Get(i)
 		if !ok {
 			break
 		}
@@ -277,28 +287,53 @@ func (NodeVal) isValue() {}
 func (ListVal) isValue() {}
 func (SetVal) isValue()  {}
 
+// nodeOf returns the element a value binds: a node's, or a row reference's,
+// built on first need.
+func nodeOf(v Value) (*Elem, bool) {
+	switch x := v.(type) {
+	case NodeVal:
+		return x.E, true
+	case *rowRef:
+		return x.element(), true
+	}
+	return nil, false
+}
+
 // atomOf extracts the comparable atom of a value (nil for lists/sets).
 func atomOf(v Value) (string, bool) {
-	nv, ok := v.(NodeVal)
-	if !ok {
-		return "", false
+	switch x := v.(type) {
+	case NodeVal:
+		return x.E.Atom()
+	case *rowRef:
+		return x.atom()
 	}
-	return nv.E.Atom()
+	return "", false
 }
 
 // idOf extracts the object id of a value's element.
 func idOf(v Value) (string, bool) {
-	nv, ok := v.(NodeVal)
-	if !ok || nv.E == nil {
-		return "", false
+	switch x := v.(type) {
+	case NodeVal:
+		if x.E == nil {
+			return "", false
+		}
+		return x.E.ID, true
+	case *rowRef:
+		return x.id(), true
 	}
-	return nv.E.ID, true
+	return "", false
 }
 
 // orderKey is the key OrderBy and hashing use: the element id when present,
 // else the atom, else a forced string form.
 func orderKey(v Value) string {
 	switch x := v.(type) {
+	case *rowRef:
+		if id := x.id(); id != "" {
+			return id
+		}
+		a, _ := x.atom()
+		return a
 	case NodeVal:
 		if x.E == nil {
 			return ""

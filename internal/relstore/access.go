@@ -84,26 +84,32 @@ type Lookup struct {
 // Find returns the rows with column = probe, in insertion order.
 func (l *Lookup) Find(probe Datum) Matches {
 	rows := l.scan.rows
+	pn, pok := probe.numeric()
 	if l.path.numeric {
 		// Against a number Compare reads the probe as a number too, falling
 		// back to the number's text for a probe that is none — and no such
 		// text equals a number's. A NaN probe compares equal to every number.
-		switch n, ok := probe.numeric(); {
-		case !ok:
+		switch {
+		case !pok:
 			return Matches{}
-		case n != n:
+		case pn != pn:
 			return l.scan.All()
 		}
 	}
+	// Compare with the probe read once.
+	compare := func(d Datum) int {
+		dn, dok := d.numeric()
+		return compareRead(d, dn, dok, probe, pn, pok)
+	}
 	if l.path.sorted {
-		lo, hi := equalRange(rows.n, func(i int) int { return Compare(rows.col(i, l.col), probe) })
+		lo, hi := equalRange(rows.n, func(i int) int { return compare(rows.col(i, l.col)) })
 		return Matches{rows: rows, next: lo, hi: hi}
 	}
 	if l.perm == nil {
 		l.perm = l.scan.t.permutation(l.col, rows)
 	}
 	p := l.perm
-	lo, hi := equalRange(len(p.order), func(i int) int { return Compare(p.rows.col(int(p.order[i]), l.col), probe) })
+	lo, hi := equalRange(len(p.order), func(i int) int { return compare(p.rows.col(int(p.order[i]), l.col)) })
 	run := p.order[lo:hi]
 	if p.rows.n > rows.n {
 		// A later scan extended the permutation past this scan's mark. Equal

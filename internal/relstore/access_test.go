@@ -137,6 +137,18 @@ func TestKeyAscendingIsStrict(t *testing.T) {
 		t.Error("a scan opened before the duplicate must keep its flag: it does not see that row")
 	}
 
+	// A number key ascends numerically: 2 then 10 is a step up.
+	db = kvDB(TInt, TString)
+	db.MustInsert("kv", Int(2), Str("a"))
+	db.MustInsert("kv", Int(10), Str("b"))
+	if !mustScan(t, db).KeyAscending() {
+		t.Error("2, 10: key not ascending")
+	}
+	db.MustInsert("kv", Int(9), Str("c"))
+	if mustScan(t, db).KeyAscending() {
+		t.Error("2, 10, 9: key counts as ascending")
+	}
+
 	// "1" and "1.0" are equal numbers to Compare, hence duplicates.
 	db = kvDB(TString, TInt)
 	db.MustInsert("kv", Str("1"), Int(1))

@@ -41,9 +41,9 @@ func (t Type) String() string {
 }
 
 // Datum is one typed value. The zero Datum is the empty string. It is 32
-// bytes — a float shares the integer's word, which is also what a table
-// stores for a number. Rows in flight and cached result rows are made of
-// these; a table keeps only the values, by column type (see packed).
+// bytes — a float shares the integer's word. Rows in flight and cached
+// result rows are made of these; a table keeps a row as its values' bytes in
+// pages (see packed).
 type Datum struct {
 	Kind Type
 	I    int64 // the TInt value; the IEEE 754 bits of a TFloat, read through F
@@ -74,6 +74,18 @@ func (d Datum) String() string {
 	}
 }
 
+// AppendText appends the datum's value as String renders it to b.
+func (d Datum) AppendText(b []byte) []byte {
+	switch d.Kind {
+	case TInt:
+		return strconv.AppendInt(b, d.I, 10)
+	case TFloat:
+		return strconv.AppendFloat(b, d.F(), 'g', -1, 64)
+	default:
+		return append(b, d.S...)
+	}
+}
+
 // Compare orders two datums. Numeric kinds compare numerically with each
 // other; strings compare lexicographically; a numeric and a string compare
 // via the string form of the number (matching xtree.CompareValues so that
@@ -81,6 +93,11 @@ func (d Datum) String() string {
 func Compare(a, b Datum) int {
 	an, aok := a.numeric()
 	bn, bok := b.numeric()
+	return compareRead(a, an, aok, b, bn, bok)
+}
+
+// compareRead is Compare given both datums' numeric readings.
+func compareRead(a Datum, an float64, aok bool, b Datum, bn float64, bok bool) int {
 	if aok && bok {
 		switch {
 		case an < bn:

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"encoding/binary"
 	"runtime"
 	"strings"
 	"testing"
@@ -173,46 +174,54 @@ func TestCompareProperty(t *testing.T) {
 	}
 }
 
-// TestResidentRowCostsItsDatums pins what a loaded table keeps per row: the
-// row's values by column type — 16 bytes a string header, 8 a number — and
-// nothing else: no Datum kind words, no slice header in an outer list, no
-// growth slack. 20 000 rows must stay within 2% of that, plus 16 KiB for
-// the table's fixed parts (column statistics, chunk list), so a three-column
-// row is at most 48 bytes (96 as Datums, 120 as a [][]Datum table). The
-// strings' bytes are shared and allocated before the count. The store is
-// what a mediator process retains, so this is the floor under the
-// benchmark's heap_live_mb.
+// TestResidentRowCostsItsDatums pins what a loaded table keeps per row: its
+// values' bytes — a string's length byte and bytes, an int's varint, a
+// float's eight bytes — and a 4-byte offset, and nothing else: no Datums, no
+// string headers, no object per string, no slice header in an outer list.
+// Rows must stay within 2% of that, plus 16 KiB for the table's fixed parts
+// (column statistics, chunk and page lists), so a customer row of three
+// strings averaging 9 bytes is 34 bytes (48 plus the strings' own objects as
+// string headers, 96 as Datums, 120 as a [][]Datum table). A 50-row table
+// costs what its rows take, doubled at worst, plus 4 KiB — not a full chunk
+// and page. The store is what a mediator process retains, so this is the
+// floor under the benchmark's heap_live_mb.
 func TestResidentRowCostsItsDatums(t *testing.T) {
-	const rows = 20000
 	texts := []string{"C000001", "Corp000001", "LosAngeles", "O00000001"}
 	for _, tc := range []struct {
-		name   string
-		types  []Type
-		perRow int64
+		name       string
+		types      []Type
+		rows       int
+		pct, fixed int64 // allowance: pct% of the values, plus fixed bytes
 	}{
-		{"customer-shaped", []Type{TString, TString, TString}, 48},
-		{"orders-shaped", []Type{TString, TString, TInt}, 40},
-		{"numbers", []Type{TInt, TFloat, TInt}, 24},
+		{"customer-shaped", []Type{TString, TString, TString}, 20000, 2, 16 << 10},
+		{"orders-shaped", []Type{TString, TString, TInt}, 20000, 2, 16 << 10},
+		{"numbers", []Type{TInt, TFloat, TInt}, 20000, 2, 16 << 10},
+		{"small customer-shaped", []Type{TString, TString, TString}, 50, 100, 4 << 10},
 	} {
 		var cols []Column
 		for i, typ := range tc.types {
 			cols = append(cols, Column{Name: string(rune('a' + i)), Type: typ})
 		}
 		row := make([]Datum, len(cols))
+		var values int64
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		db := NewDB("db")
 		db.MustCreate(Schema{Relation: "r", Columns: cols, Key: []int{0}})
-		for i := 0; i < rows; i++ {
+		for i := 0; i < tc.rows; i++ {
+			values += 4
 			for c, typ := range tc.types {
 				switch typ {
 				case TString:
 					row[c] = Str(texts[(i+c)%len(texts)])
+					values += 1 + int64(len(row[c].S))
 				case TFloat:
 					row[c] = Float(float64(i) / 2)
+					values += 8
 				default:
 					row[c] = Int(int64(i * (c + 1)))
+					values += int64(binary.PutVarint(make([]byte, binary.MaxVarintLen64), row[c].I))
 				}
 			}
 			db.MustInsert("r", row...)
@@ -220,10 +229,29 @@ func TestResidentRowCostsItsDatums(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		got := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-		if floor := rows * tc.perRow; got > floor+floor/50+16<<10 {
-			t.Errorf("%s: %d rows keep %d bytes resident, %.1f a row; their values are %d", tc.name, rows, got, float64(got)/rows, tc.perRow)
+		if got > values+values*tc.pct/100+tc.fixed {
+			t.Errorf("%s: %d rows keep %d bytes resident, %.1f a row; their values are %.1f", tc.name, tc.rows, got, float64(got)/float64(tc.rows), float64(values)/float64(tc.rows))
 		}
 		runtime.KeepAlive(db)
+	}
+}
+
+// TestInsertAllocatesNothingPerRow: Insert encodes a row into a page and its
+// offset into a chunk; only filling a chunk or a page allocates.
+func TestInsertAllocatesNothingPerRow(t *testing.T) {
+	db := NewDB("db")
+	db.MustCreate(custSchema())
+	row := []Datum{Str("C000001"), Str("Corp000001"), Int(5)}
+	i := int64(0)
+	allocs := testing.AllocsPerRun(5000, func() {
+		i++
+		row[2] = Int(i)
+		if err := db.Insert("customer", row); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Insert allocates %v times a row, want 0", allocs)
 	}
 }
 

@@ -21,7 +21,7 @@ const (
 // read lock.
 type colStat struct {
 	sketch   [ndvWords]uint64
-	min, max Datum
+	min, max reading
 	hasRange bool
 
 	// What Compare does on this column (see total), and whether some value
@@ -30,32 +30,44 @@ type colStat struct {
 	unsorted                   bool
 }
 
+// reading is a value with its numeric reading (Datum.numeric), kept so that
+// comparing the next value with the range reads only the new one.
+type reading struct {
+	d   Datum
+	n   float64
+	num bool
+}
+
+func (r *reading) compare(s *reading) int { return compareRead(r.d, r.n, r.num, s.d, s.n, s.num) }
+
 // note folds one value into the accumulator.
 func (c *colStat) note(d Datum) {
 	h := hashDatum(d) % ndvBits
 	c.sketch[h/64] |= 1 << (h % 64)
-	switch n, ok := d.numeric(); {
-	case !ok:
+	r := reading{d: d}
+	r.n, r.num = d.numeric()
+	switch {
+	case !r.num:
 		c.sawText = true
-	case n != n:
+	case r.n != r.n:
 		c.sawNaN = true
 	default:
 		c.sawNumber = true
 	}
 	if !c.hasRange {
-		c.min, c.max = d, d
+		c.min, c.max = r, r
 		c.hasRange = true
 		return
 	}
 	// A value above the maximum — every row of a table loaded in order — is
 	// not below the minimum.
-	switch cmp := Compare(d, c.max); {
+	switch cmp := r.compare(&c.max); {
 	case cmp > 0:
-		c.max = d
+		c.max = r
 	case cmp < 0:
 		c.unsorted = true
-		if Compare(d, c.min) < 0 {
-			c.min = d
+		if r.compare(&c.min) < 0 {
+			c.min = r
 		}
 	}
 }
@@ -108,18 +120,16 @@ func hashDatum(d Datum) uint64 {
 		offset = 14695981039346656037
 		prime  = 1099511628211
 	)
-	h := uint64(offset)
-	mix := func(b byte) { h = (h ^ uint64(b)) * prime }
-	mix(byte(d.Kind))
+	h := (uint64(offset) ^ uint64(byte(d.Kind))) * prime
 	switch d.Kind {
 	case TInt, TFloat:
 		v := uint64(d.I) // a float's bits
 		for i := 0; i < 8; i++ {
-			mix(byte(v >> (8 * i)))
+			h = (h ^ uint64(byte(v>>(8*i)))) * prime
 		}
 	default:
 		for i := 0; i < len(d.S); i++ {
-			mix(d.S[i])
+			h = (h ^ uint64(d.S[i])) * prime
 		}
 	}
 	return h
@@ -171,8 +181,8 @@ func (db *DB) TableStats(relation string) (TableStats, bool) {
 		c := &t.stats[i]
 		out.Cols[i] = ColStats{
 			NDV:      c.estimate(rows),
-			Min:      c.min,
-			Max:      c.max,
+			Min:      c.min.d,
+			Max:      c.max.d,
 			HasRange: c.hasRange,
 		}
 	}

@@ -1,10 +1,12 @@
 package relstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Column describes one attribute of a relation.
@@ -50,119 +52,194 @@ type Table struct {
 	perms  []*permutation
 }
 
-// Chunk sizes: Go's 8 KiB size class, less the 8 bytes its allocator keeps
-// in an object that holds pointers for the strings, so a chunk wastes less
-// than one row.
+// Storage sizes. A full chunk or page is Go's 2 KiB size class; neither holds
+// pointers, so the allocator keeps no header in it, and a table's last,
+// partly filled chunk and page waste at most that. A table's first chunk and
+// first page start at half that and double once, so a small table costs at
+// most twice what its rows take, not a full chunk and page.
 const (
-	chunkStrings = (8<<10 - 8) / 16
-	chunkNumbers = 8 << 10 / 8
+	chunkRows      = 2 << 10 / 4
+	pageBytes      = 2 << 10
+	firstPageBytes = pageBytes / 2
+	// maxText bounds a table's page bytes: a row's offset in the pages is 32
+	// bits. Placing a row takes at most pageBytes besides its own bytes: the
+	// rest of a page it does not fit.
+	maxText = 1<<32 - 1
 )
 
 // packed is a table's rows, or a reader's prefix of them, in insertion
-// order, stored by column type: a chunk holds per rows as back-to-back
-// string values (16 bytes each) and back-to-back numbers (8 bytes each, an
-// int or a float's bits — Datum.I). A resident row costs its values and
-// nothing else: no Datum's kind word and unused halves (a Datum is 32
-// bytes), no slice header in an outer list, no object of its own. The
-// column kinds come from the schema, which Insert enforces. Chunks are
-// allocated at full length and only ever written past n, and the chunk list
-// only grows, so a copy of the struct taken under the store lock is a
-// stable snapshot beside a concurrent Insert.
+// order. A row is its values' bytes, back to back in the table's append-only
+// byte pages: a string as its length (a uvarint) and its bytes, an int as a
+// varint, a float as its eight bytes (Datum.I). A chunk holds the rows'
+// offsets in the pages, 4 bytes a row. A resident row costs those bytes and
+// nothing else — no Datum (32 bytes), no string header (16), no object of
+// its own. The column kinds come from the schema, which Insert enforces, and
+// say how to read a row's bytes.
+//
+// Offsets address pages as if each were pageBytes long: page k covers
+// [k*pageBytes, (k+1)*pageBytes). A row never crosses a page boundary; one
+// longer than a page gets a page of its own, sized to it, at the next
+// boundary, and the page slots it spans after the first stay nil.
+//
+// A copy of the struct taken under the store lock is a stable snapshot beside
+// a concurrent Insert: a row's bytes and offset are written once, before n
+// counts it, and never again; full chunks and pages are only appended past a
+// reader's length; and the first chunk and first page, when they double, are
+// replaced by copies in fresh lists, leaving earlier snapshots theirs.
 type packed struct {
-	chunks []chunk
-	l      *layout
-	n      int // rows present
-}
-
-type chunk struct {
-	s []string
-	v []int64
-}
-
-// layout places a schema's columns in a chunk.
-type layout struct {
+	chunks [][]uint32
+	pages  [][]byte
 	kinds  []Type
-	at     []int // per column: its index among the row's strings or numbers
-	ns, nv int   // strings and numbers a row holds
-	per    int   // rows per chunk
+	n      int    // rows present
+	end    uint64 // the writer's next free offset in the pages
 }
 
 func newPacked(cols []Column) packed {
-	l := &layout{kinds: make([]Type, len(cols)), at: make([]int, len(cols))}
+	kinds := make([]Type, len(cols))
 	for i, c := range cols {
-		l.kinds[i] = c.Type
-		if c.Type == TString {
-			l.at[i], l.ns = l.ns, l.ns+1
-		} else {
-			l.at[i], l.nv = l.nv, l.nv+1
-		}
+		kinds[i] = c.Type
 	}
-	l.per = chunkStrings + chunkNumbers
-	if l.ns > 0 {
-		l.per = min(l.per, chunkStrings/l.ns)
-	}
-	if l.nv > 0 {
-		l.per = min(l.per, chunkNumbers/l.nv)
-	}
-	l.per = max(1, l.per)
-	return packed{l: l}
+	return packed{kinds: kinds}
 }
 
-// values returns row i's strings and numbers, in the layout's order.
-func (p packed) values(i int) ([]string, []int64) {
-	l := p.l
-	k := i / l.per
-	r := i - k*l.per
-	c := &p.chunks[k]
-	return c.s[r*l.ns : (r+1)*l.ns], c.v[r*l.nv : (r+1)*l.nv]
+// row returns the bytes from row i's first value to the end of its page.
+func (p *packed) row(i int) []byte {
+	off := p.chunks[i/chunkRows][i%chunkRows]
+	return p.pages[off/pageBytes][off%pageBytes:]
 }
 
-// col returns column c of row i, reading only that value (lookups and
-// permutation merges call it per comparison).
-func (p packed) col(i, c int) Datum {
-	l := p.l
-	k := i / l.per
-	r := i - k*l.per
-	if t := l.kinds[c]; t != TString {
-		return Datum{Kind: t, I: p.chunks[k].v[r*l.nv+l.at[c]]}
+// col returns column c of row i, reading past the values before it (lookups
+// and permutation merges call it per comparison).
+func (p *packed) col(i, c int) Datum {
+	b := p.row(i)
+	for _, t := range p.kinds[:c] {
+		_, b = readValue(b, t)
 	}
-	return Datum{Kind: TString, S: p.chunks[k].s[r*l.ns+l.at[c]]}
+	d, _ := readValue(b, p.kinds[c])
+	return d
 }
 
 // appendRow appends row i's values to dst.
-func (p packed) appendRow(dst []Datum, i int) []Datum {
-	s, v := p.values(i)
-	for c, t := range p.l.kinds {
-		if t == TString {
-			dst = append(dst, Datum{Kind: TString, S: s[p.l.at[c]]})
-		} else {
-			dst = append(dst, Datum{Kind: t, I: v[p.l.at[c]]})
-		}
+func (p *packed) appendRow(dst []Datum, i int) []Datum {
+	b := p.row(i)
+	for _, t := range p.kinds {
+		var d Datum
+		d, b = readValue(b, t)
+		dst = append(dst, d)
 	}
 	return dst
 }
 
-// add stores row, whose kinds match the layout, as row n.
-func (p *packed) add(row []Datum) {
-	l := p.l
-	if p.n == len(p.chunks)*l.per {
-		p.chunks = append(p.chunks, chunk{s: make([]string, l.per*l.ns), v: make([]int64, l.per*l.nv)})
+// readValue reads a value of kind t from the head of b and returns it with
+// the bytes after it. A string aliases b, without copying. That is sound
+// because a row's bytes are written once, by Insert under the store's write
+// lock, before the row is counted, and no byte of a page is ever written
+// again — pages are append-only and a growing first page is copied, not
+// moved. This is the one place the store aliases its bytes.
+func readValue(b []byte, t Type) (Datum, []byte) {
+	switch t {
+	case TInt:
+		v, k := binary.Varint(b)
+		return Datum{Kind: TInt, I: v}, b[k:]
+	case TFloat:
+		return Datum{Kind: TFloat, I: int64(binary.LittleEndian.Uint64(b))}, b[8:]
 	}
-	s, v := p.values(p.n)
-	for c, d := range row {
-		if l.kinds[c] == TString {
-			s[l.at[c]] = d.S
-		} else {
-			v[l.at[c]] = d.I
+	n, k := binary.Uvarint(b)
+	b = b[k:]
+	if n == 0 {
+		return Datum{Kind: TString}, b
+	}
+	return Datum{Kind: TString, S: unsafe.String(&b[0], n)}, b[n:]
+}
+
+// valueSize is how many bytes d takes in a row.
+func valueSize(d Datum) uint64 {
+	switch d.Kind {
+	case TInt:
+		return uvarintSize(uint64(d.I<<1) ^ uint64(d.I>>63)) // zigzag, as binary.PutVarint
+	case TFloat:
+		return 8
+	}
+	return uvarintSize(uint64(len(d.S))) + uint64(len(d.S))
+}
+
+func uvarintSize(x uint64) uint64 {
+	n := uint64(1)
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+// add stores row, whose kinds match the schema and whose values take size
+// bytes that fit in the pages' offset space, as row n.
+func (p *packed) add(row []Datum, size uint64) {
+	off := p.place(size)
+	b := p.pages[off/pageBytes][off%pageBytes:]
+	for _, d := range row {
+		switch d.Kind {
+		case TInt:
+			b = b[binary.PutVarint(b, d.I):]
+		case TFloat:
+			binary.LittleEndian.PutUint64(b, uint64(d.I))
+			b = b[8:]
+		default:
+			b = b[binary.PutUvarint(b, uint64(len(d.S))):]
+			b = b[copy(b, d.S):]
 		}
 	}
+	k, r := p.n/chunkRows, p.n%chunkRows
+	switch {
+	case k == len(p.chunks):
+		n := chunkRows
+		if k == 0 {
+			n /= 2
+		}
+		p.chunks = append(p.chunks, make([]uint32, n))
+	case r == len(p.chunks[k]): // the first chunk, full at half its size
+		grown := make([]uint32, chunkRows)
+		copy(grown, p.chunks[0])
+		p.chunks = [][]uint32{grown}
+	}
+	p.chunks[k][r] = uint32(off)
 	p.n++
+}
+
+// place makes room for n bytes in the pages and returns their offset.
+func (p *packed) place(n uint64) uint64 {
+	if p.end%pageBytes+n > pageBytes {
+		p.end = (p.end + pageBytes - 1) / pageBytes * pageBytes
+	}
+	k, in := int(p.end/pageBytes), p.end%pageBytes
+	switch {
+	case n > pageBytes:
+		p.pages = append(p.pages, make([]byte, n))
+		for span := (n - 1) / pageBytes; span > 0; span-- {
+			p.pages = append(p.pages, nil)
+		}
+	case k == len(p.pages):
+		size := uint64(pageBytes)
+		if k == 0 {
+			size = max(firstPageBytes, n)
+		}
+		p.pages = append(p.pages, make([]byte, size))
+	case in+n > uint64(len(p.pages[k])): // the first page, full at half its size
+		grown := make([]byte, pageBytes)
+		copy(grown, p.pages[0])
+		p.pages = [][]byte{grown}
+	}
+	off := p.end
+	p.end += n
+	if n > pageBytes {
+		p.end = (p.end + pageBytes - 1) / pageBytes * pageBytes
+	}
+	return off
 }
 
 // all copies the rows out as [][]Datum, for callers that walk a whole
 // relation once (fixtures, exports, tests).
-func (p packed) all() [][]Datum {
-	w := len(p.l.kinds)
+func (p *packed) all() [][]Datum {
+	w := len(p.kinds)
 	flat := make([]Datum, 0, p.n*w)
 	out := make([][]Datum, p.n)
 	for i := range out {
@@ -233,7 +310,9 @@ func (db *DB) MustCreate(s Schema) *Table {
 }
 
 // Insert appends a copy of row after checking arity and types. The check is
-// what the storage relies on: a column keeps only the values of its type.
+// what the storage relies on: a column keeps only the values of its type. The
+// row's values are encoded into the table's pages; nothing is allocated per
+// row beyond the chunks and pages it fills.
 func (db *DB) Insert(relation string, row []Datum) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -245,16 +324,21 @@ func (db *DB) Insert(relation string, row []Datum) error {
 		return fmt.Errorf("relstore: relation %s expects %d values, got %d",
 			relation, len(t.Schema.Columns), len(row))
 	}
+	var size uint64 // the row's bytes in the pages
 	for i, d := range row {
 		if d.Kind != t.Schema.Columns[i].Type {
 			return fmt.Errorf("relstore: relation %s column %s expects %s, got %s",
 				relation, t.Schema.Columns[i].Name, t.Schema.Columns[i].Type, d.Kind)
 		}
+		size += valueSize(d)
+	}
+	if t.rows.end+size+pageBytes > maxText {
+		return fmt.Errorf("relstore: relation %s holds more than %d bytes of rows", relation, maxText)
 	}
 	if n := t.rows.n; n > 0 && !t.keyUnordered {
-		t.keyUnordered = !keyBelow(t.rows, n-1, row, t.Schema.Key)
+		t.keyUnordered = !keyBelow(&t.rows, n-1, row, t.Schema.Key)
 	}
-	t.rows.add(row)
+	t.rows.add(row, size)
 	for i, d := range row {
 		t.stats[i].note(d)
 	}
@@ -264,7 +348,7 @@ func (db *DB) Insert(relation string, row []Datum) error {
 
 // keyBelow reports whether stored row i's key is strictly below row's,
 // comparing the key columns in order.
-func keyBelow(rows packed, i int, row []Datum, key []int) bool {
+func keyBelow(rows *packed, i int, row []Datum, key []int) bool {
 	for _, k := range key {
 		if c := Compare(rows.col(i, k), row[k]); c != 0 {
 			return c < 0

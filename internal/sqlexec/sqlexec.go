@@ -15,9 +15,9 @@
 package sqlexec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
-	"strings"
 
 	"mix/internal/relstore"
 	"mix/internal/sqlparse"
@@ -535,9 +535,13 @@ func (p *projectIter) next() ([]relstore.Datum, bool) {
 	return out, true
 }
 
+// distinctIter passes each row whose values' texts have not passed before.
+// A row's key is its values' texts, each prefixed by its length, so that no
+// two different rows share one — ("a\x00", "b") and ("a", "\x00b") included.
 type distinctIter struct {
 	in   iter
 	seen map[string]bool
+	key  []byte
 }
 
 func (d *distinctIter) next() ([]relstore.Datum, bool) {
@@ -546,16 +550,17 @@ func (d *distinctIter) next() ([]relstore.Datum, bool) {
 		if !ok {
 			return nil, false
 		}
-		var b strings.Builder
+		k := d.key[:0]
 		for _, v := range row {
-			b.WriteString(v.String())
-			b.WriteByte('\x00')
+			at := len(k)
+			k = v.AppendText(append(k, 0, 0, 0, 0))
+			binary.BigEndian.PutUint32(k[at:], uint32(len(k)-at-4))
 		}
-		k := b.String()
-		if d.seen[k] {
+		d.key = k
+		if d.seen[string(k)] {
 			continue
 		}
-		d.seen[k] = true
+		d.seen[string(k)] = true
 		return row, true
 	}
 }

@@ -133,6 +133,25 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
+// TestDistinctKeepsRowsThatJoinAlike: two rows are duplicates only when every
+// value is; a row key made by joining the values with a separator byte
+// merged ("a\x00", "b") with ("a", "\x00b").
+func TestDistinctKeepsRowsThatJoinAlike(t *testing.T) {
+	db := relstore.NewDB("db1")
+	db.MustCreate(relstore.Schema{
+		Relation: "t",
+		Columns:  []relstore.Column{{Name: "a", Type: relstore.TString}, {Name: "b", Type: relstore.TString}},
+	})
+	db.MustInsert("t", relstore.Str("a\x00"), relstore.Str("b"))
+	db.MustInsert("t", relstore.Str("a"), relstore.Str("\x00b"))
+	db.MustInsert("t", relstore.Str("a"), relstore.Str("\x00b"))
+	rows := collect(t, db, `SELECT DISTINCT t1.a, t1.b FROM t t1`)
+	want := [][]string{{"a\x00", "b"}, {"a", "\x00b"}}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("rows = %q, want %q", rows, want)
+	}
+}
+
 func TestOrderBy(t *testing.T) {
 	rows := collect(t, testDB(), `SELECT orid FROM orders ORDER BY value`)
 	want := [][]string{{"O4"}, {"O1"}, {"O3"}, {"O2"}}

@@ -73,30 +73,6 @@ func TupleElem(s relstore.Schema, row []relstore.Datum, ordinal int) *xtree.Node
 	return elem
 }
 
-// PartialTupleElem builds a tuple object from a subset of columns (as
-// reconstructed from an SQL result row by a relQuery map). cols pairs the
-// column label with its value; keyVals are the key column values in key
-// order.
-func PartialTupleElem(relation string, keyVals []string, cols []ColValue) *xtree.Node {
-	oid := xtree.ID("&" + strings.Join(keyVals, "."))
-	elem := &xtree.Node{ID: oid, Label: relation}
-	elem.Children = make([]*xtree.Node, len(cols))
-	for i, cv := range cols {
-		elem.Children[i] = &xtree.Node{
-			ID:       oid + xtree.ID("."+cv.Label),
-			Label:    cv.Label,
-			Children: []*xtree.Node{{Label: cv.Value}},
-		}
-	}
-	return elem
-}
-
-// ColValue pairs a column label with its string value.
-type ColValue struct {
-	Label string
-	Value string
-}
-
 // Doc materializes the whole virtual document for a relation — the paper's
 // Figure 2 picture. The engine never calls this on the hot path (it pulls
 // tuples lazily); it exists for golden tests, the eager baseline, and

@@ -87,25 +87,6 @@ func TestTupleOIDCompositeKey(t *testing.T) {
 	}
 }
 
-func TestPartialTupleElem(t *testing.T) {
-	e := wrapper.PartialTupleElem("orders", []string{"28904"}, []wrapper.ColValue{
-		{Label: "orid", Value: "28904"},
-		{Label: "value", Value: "2400"},
-	})
-	if string(e.ID) != "&28904" || e.Label != "orders" {
-		t.Fatalf("elem = %s id=%s", e, e.ID)
-	}
-	if len(e.Children) != 2 || e.Children[1].Label != "value" {
-		t.Fatalf("children = %s", e)
-	}
-	if string(e.Children[0].ID) != "&28904.orid" {
-		t.Fatalf("column id = %q", e.Children[0].ID)
-	}
-	if v, _ := e.Children[1].Children[0].Value(); v != "2400" {
-		t.Fatalf("value = %q", v)
-	}
-}
-
 func TestRootID(t *testing.T) {
 	if wrapper.RootID("db1", "orders") != "&db1.orders" {
 		t.Fatal("RootID format")

@@ -108,6 +108,26 @@ func TestResultCacheVersionedInvalidation(t *testing.T) {
 	}
 }
 
+// TestResultCacheFillRacingAMutation: a scan that opened before a mutation
+// and finishes after the fresh result was cached must not replace it — its
+// rows land under the version it observed at open time.
+func TestResultCacheFillRacingAMutation(t *testing.T) {
+	db := cacheTestDB(t)
+	rc := NewResultCache(8)
+	const q = "SELECT C.name FROM customer C"
+	slow := mustOpen(t, rc, db, q)
+
+	db.MustInsert("customer", relstore.Str("Cid"), relstore.Int(50))
+	drain(t, mustOpen(t, rc, db, q))
+	if rows := drain(t, slow); len(rows) != 2 {
+		t.Fatalf("scan opened before the mutation saw %d rows; want 2", len(rows))
+	}
+
+	if rows := drain(t, mustOpen(t, rc, db, q)); len(rows) != 3 {
+		t.Fatalf("scan after the mutation served %d rows; want 3", len(rows))
+	}
+}
+
 func TestResultCachePartialScanCachesNothing(t *testing.T) {
 	db := cacheTestDB(t)
 	rc := NewResultCache(8)

@@ -6,25 +6,32 @@ package testleak
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
 
-// Check snapshots the goroutine count and returns a function that asserts
-// the count has returned to (or below) the snapshot. Producers are joined
-// synchronously by Close, but runtime bookkeeping (and goroutines finishing
-// their final returns) can lag a moment, so the assertion polls briefly
-// before failing. Use as:
+// Check snapshots the live goroutines and returns a function that asserts
+// every goroutine started since has exited. Goroutines are told apart by
+// id, so one left over from an earlier test that exits meanwhile cannot
+// hide a leak. Producers are joined synchronously by Close, but runtime
+// bookkeeping (and goroutines finishing their final returns) can lag a
+// moment, so the assertion polls briefly before failing. Use as:
 //
 //	defer testleak.Check(t)()
 func Check(t testing.TB) func() {
-	before := runtime.NumGoroutine()
+	before := goroutines()
 	return func() {
 		deadline := time.Now().Add(2 * time.Second)
-		var after int
+		var leaked []string
 		for {
-			after = runtime.NumGoroutine()
-			if after <= before {
+			leaked = leaked[:0]
+			for id, stack := range goroutines() {
+				if _, ok := before[id]; !ok {
+					leaked = append(leaked, stack)
+				}
+			}
+			if len(leaked) == 0 {
 				return
 			}
 			if time.Now().After(deadline) {
@@ -32,10 +39,27 @@ func Check(t testing.TB) func() {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		buf := make([]byte, 1<<20)
-		n := runtime.Stack(buf, true)
-		t.Errorf("goroutine leak: %d before, %d after\n%s", before, after, buf[:n])
+		t.Errorf("goroutine leak: %d started by the test still running\n%s", len(leaked), strings.Join(leaked, "\n\n"))
 	}
+}
+
+// goroutines returns the stack of every live goroutine, keyed by its id.
+func goroutines() map[string]string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := map[string]string{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
+		out[id] = g
+	}
+	return out
 }
 
 // NoHandles asserts that a live-handle counter (such as the wire server's

@@ -255,10 +255,10 @@ func decodeRequest(payload []byte) (Request, error) {
 
 // ---- response ----
 
-// appendNodeFrame serializes one NodeFrame. It may only be called from
+// appendNodeFrame serializes one NodeFrame. It is called only from
 // encodeResponse: a response's Frames were grown through the budget-checking
-// frameAppender, and serializing frames from anywhere else would reintroduce
-// exactly the raw unbudgeted growth the framebudget analyzer forbids.
+// frameAppender, and serializing frames from anywhere else would ship a
+// batch that never passed the budget.
 func appendNodeFrame(b []byte, f *NodeFrame) []byte {
 	var flags byte
 	if f.IsLeaf {

@@ -100,8 +100,8 @@ type Server struct {
 	clockStop chan struct{}
 
 	// Session lifecycle counters, shared across session goroutines, the
-	// eviction clock and stats readers — atomic cells only (mixvet
-	// atomiccell enforces no plain access).
+	// eviction clock and stats readers — typed atomic cells, so the
+	// compiler rejects plain access.
 	peak          atomic.Int64
 	memTotal      atomic.Int64
 	accepted      atomic.Int64
@@ -593,9 +593,8 @@ func frameSize(f NodeFrame) int {
 
 // frameAppender accumulates a Response's Frames under the session's
 // frame-count cap and byte budget. It is the only place in the package
-// allowed to grow Frames — mixvet's framebudget analyzer flags any raw
-// append or assignment elsewhere, so every batch-cutting path provably
-// respects MaxFrame/MaxBatch.
+// that grows Frames, so every batch-cutting path respects MaxFrame/MaxBatch
+// (TestDeepBatchTagDenseWithinMaxFrame fails on a batch grown around it).
 type frameAppender struct {
 	resp   *Response
 	max    int // frame-count cap for this batch

@@ -505,8 +505,10 @@ func TestServeAcceptBackoff(t *testing.T) {
 }
 
 // TestShutdownDrain: Shutdown stops the accept loop (Serve returns
-// ErrServerClosed), new sessions are refused, and live sessions are closed.
+// ErrServerClosed), new sessions are refused, and live sessions are closed —
+// with every connection goroutine Serve started gone.
 func TestShutdownDrain(t *testing.T) {
+	defer testleak.Check(t)()
 	med := paperMediator(t)
 	srv := wire.NewServer(med)
 	srv.MaxSessions = 8

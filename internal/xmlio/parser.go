@@ -41,6 +41,13 @@ func Parse(input string) (*xtree.Node, error) {
 func ParseWith(input string, opts Options) (*xtree.Node, error) {
 	p := &parser{src: input, opts: opts}
 	p.skipProlog()
+	if rest := p.src[p.pos:]; !strings.Contains(rest, "<") {
+		// Character data alone is a one-node tree: what Serialize writes
+		// for a leaf, and for an element without children.
+		if label := decodeEntities(rest); label != "" {
+			return &xtree.Node{ID: p.allocID(), Label: label}, nil
+		}
+	}
 	root, err := p.parseElement()
 	if err != nil {
 		return nil, err

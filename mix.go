@@ -99,7 +99,7 @@ type Config struct {
 	// sessions started with Open always run with the window pinned at one
 	// row so browsing ships strictly on demand. Answers are byte-identical
 	// at every value. Nothing but the benchmark and tests sets it; it is
-	// scheduled for removal (ROADMAP item 3).
+	// scheduled for removal (ROADMAP item 8).
 	BatchExec int
 	// PathIndex builds a dataguide-style label-path index lazily over each
 	// registered XML source, turning getD descendant steps from subtree

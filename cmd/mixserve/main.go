@@ -12,7 +12,7 @@
 //
 // Clients connect with the internal/wire client library; navigation
 // evaluates QDOM steps remotely, with sibling scans batched adaptively
-// (children/scan ops, capped by -max-batch) while staying demand-driven.
+// (children ops, capped by -max-batch) while staying demand-driven.
 //
 // The session front end is tuned by -max-sessions, -session-idle,
 // -session-mem and -session-optime (all off by default: unlimited sessions,
@@ -46,7 +46,7 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:7713", "listen address")
 		n           = flag.Int("n", 1000, "generated customers")
 		maxHandles  = flag.Int("max-handles", wire.DefaultMaxHandles, "per-session node handle limit")
-		maxBatch    = flag.Int("max-batch", wire.DefaultMaxBatch, "per-response frame cap for batched children/scan ops")
+		maxBatch    = flag.Int("max-batch", wire.DefaultMaxBatch, "per-response frame cap for batched children ops")
 		parallelism = flag.Int("parallelism", 1, "goroutines per query execution (1 = strictly sequential evaluation)")
 		exchangeBuf = flag.Int("exchange-buffer", 0, "exchange operator tuple buffer (0 = engine default)")
 		planCache   = flag.Int("plan-cache", 0, "memoized plans per pipeline stage (0 = plan caching off)")

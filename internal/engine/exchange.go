@@ -1,19 +1,21 @@
 package engine
 
-import "sync"
+import (
+	"sync"
 
-// This file is the exchange-style asynchronous operator layer: a bounded,
-// channel-backed prefetching cursor (exchange) that can wrap any compiled
-// operator, plus the per-execution state that budgets producer goroutines
-// and force-closes whatever is still running when a result is abandoned.
+	"mix/internal/source"
+)
+
+// This file is the exchange-style asynchronous operator layer: a bounded
+// read-ahead (source.Ahead) that can wrap any compiled operator, plus the
+// per-execution state that budgets producer goroutines and force-closes
+// whatever is still running when a result is abandoned.
 //
 // Demand-driven semantics are preserved at buffer granularity: an exchange
 // begins producing when its plan fragment is instantiated — which only
 // happens once navigation first pulls on the enclosing program — and runs at
 // most ExchangeBuffer tuples ahead of its consumer before backpressure
-// blocks it. Close cancels the producer and joins it; cancellation is
-// observed between pulls, so a producer blocked inside a slow source Next
-// is joined as soon as that pull returns.
+// blocks it.
 
 // DefaultExchangeBuffer is the per-exchange tuple buffer used when
 // Options.ExchangeBuffer is zero.
@@ -113,87 +115,31 @@ func closeCursor(c Cursor) {
 	}
 }
 
-type exchItem struct {
-	t   Tuple
-	err error
-}
-
-// exchange runs a wrapped cursor on its own goroutine, delivering tuples
-// through a bounded channel: the Volcano-style exchange operator. Next and
-// Close are safe to call concurrently; Close cancels the producer and joins
-// it, and is idempotent.
-type exchange struct {
-	ch   chan exchItem
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
-}
-
-// startExchange wraps the cursor produced by open in an exchange when a
-// producer slot is free; otherwise it returns the synchronous cursor
-// unchanged, which keeps budget-exhausted (and all Parallelism <= 1)
-// executions on the exact sequential code path. open runs on the producer
-// goroutine, so cursor construction — including source opens — moves off
-// the consumer.
+// startExchange wraps the cursor produced by open in an exchange — the
+// Volcano-style operator, here a source.Ahead over tuples — when a producer
+// slot is free; otherwise it returns the synchronous cursor unchanged, which
+// keeps budget-exhausted (and all Parallelism <= 1) executions on the exact
+// sequential code path. open runs on the producer goroutine, so cursor
+// construction — including source opens — moves off the consumer.
 func startExchange(ex *execState, open func() Cursor) Cursor {
 	if !ex.tryAcquire() {
 		return open()
 	}
-	x := &exchange{
-		ch:   make(chan exchItem, ex.buf),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go x.run(ex, open)
+	x := source.NewAhead(func() (source.Puller[Tuple], error) {
+		return slotCursor{open(), ex}, nil
+	}, ex.buf)
 	ex.track(x)
 	return x
 }
 
-func (x *exchange) run(ex *execState, open func() Cursor) {
-	defer close(x.done)
-	defer ex.release()
-	defer close(x.ch)
-	cur := open()
-	defer closeCursor(cur)
-	for {
-		select {
-		case <-x.stop:
-			return
-		default:
-		}
-		t, ok, err := cur.Next()
-		if err != nil {
-			select {
-			case x.ch <- exchItem{err: err}:
-			case <-x.stop:
-			}
-			return
-		}
-		if !ok {
-			return
-		}
-		select {
-		case x.ch <- exchItem{t: t}:
-		case <-x.stop:
-			return
-		}
-	}
+// slotCursor returns the execution's producer slot when the producer closes
+// it, which is before the exchange reports end of stream.
+type slotCursor struct {
+	Cursor
+	ex *execState
 }
 
-func (x *exchange) Next() (Tuple, bool, error) {
-	it, ok := <-x.ch
-	if !ok {
-		return Tuple{}, false, nil
-	}
-	if it.err != nil {
-		return Tuple{}, false, it.err
-	}
-	return it.t, true, nil
-}
-
-// Close cancels the producer and joins it. After Close, Next drains nothing
-// further and reports end of stream.
-func (x *exchange) Close() {
-	x.once.Do(func() { close(x.stop) })
-	<-x.done
+func (c slotCursor) Close() {
+	closeCursor(c.Cursor)
+	c.ex.release()
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mix/internal/source"
 	"mix/internal/testleak"
 	"mix/internal/xmas"
 )
@@ -69,7 +70,7 @@ func TestExchangeDeliversInOrder(t *testing.T) {
 	ex := parExec(2, 4)
 	_, tuples := testTuples(20)
 	cur := startExchange(ex, func() Cursor { return &sliceCursor{tuples: tuples} })
-	if _, ok := cur.(*exchange); !ok {
+	if _, ok := cur.(*source.Ahead[Tuple]); !ok {
 		t.Fatalf("expected an exchange, got %T", cur)
 	}
 	got, err := drain(cur)
@@ -144,7 +145,7 @@ func TestExchangeCloseCancelsAndJoins(t *testing.T) {
 	if _, ok, err := cur.Next(); !ok || err != nil {
 		t.Fatalf("first Next: ok=%v err=%v", ok, err)
 	}
-	x := cur.(*exchange)
+	x := cur.(*source.Ahead[Tuple])
 	x.Close()
 	x.Close() // idempotent
 	if _, closed := src.snapshot(); !closed {
@@ -155,6 +156,25 @@ func TestExchangeCloseCancelsAndJoins(t *testing.T) {
 		t.Fatal("producer slot not released after Close")
 	}
 	ex.release()
+}
+
+// TestExchangeDrainReturnsSlot: a drained exchange has returned its
+// producer slot by the time Next reports end of stream, before any Close.
+func TestExchangeDrainReturnsSlot(t *testing.T) {
+	defer testleak.Check(t)()
+	_, tuples := testTuples(5)
+	for round := 0; round < 200; round++ {
+		ex := parExec(2, 2)
+		cur := startExchange(ex, func() Cursor { return &sliceCursor{tuples: tuples} })
+		if _, err := drain(cur); err != nil {
+			t.Fatal(err)
+		}
+		if !ex.tryAcquire() {
+			t.Fatalf("round %d: producer slot still held after end of stream", round)
+		}
+		ex.release()
+		closeCursor(cur)
+	}
 }
 
 func TestExchangeNoSlotFallsBackSynchronous(t *testing.T) {
@@ -169,7 +189,7 @@ func TestExchangeNoSlotFallsBackSynchronous(t *testing.T) {
 	// Budget of one producer slot: the second exchange runs synchronous.
 	ex := parExec(2, 2)
 	first := startExchange(ex, func() Cursor { return &blockingCursor{tuples: tuples, delay: 50 * time.Millisecond} })
-	if _, ok := first.(*exchange); !ok {
+	if _, ok := first.(*source.Ahead[Tuple]); !ok {
 		t.Fatalf("first exchange should get the slot, got %T", first)
 	}
 	second := startExchange(ex, func() Cursor { return &sliceCursor{tuples: tuples} })
@@ -200,7 +220,7 @@ func TestExchangeConcurrentNextCloseStress(t *testing.T) {
 		ex := parExec(4, 4)
 		_, tuples := testTuples(200)
 		cur := startExchange(ex, func() Cursor { return &blockingCursor{tuples: tuples} })
-		x, ok := cur.(*exchange)
+		x, ok := cur.(*source.Ahead[Tuple])
 		if !ok {
 			t.Fatalf("round %d: expected an exchange, got %T", round, cur)
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // DefaultWindow is the per-member read-ahead window of a parallel fan-out:
-// how many elements a member pump may run ahead of the merge before it
+// how many elements a member's pump may run ahead of the merge before it
 // blocks (backpressure).
 const DefaultWindow = 16
 
@@ -25,11 +25,6 @@ type Member struct {
 
 // Config tunes a coordinator document; the zero value is usable.
 type Config struct {
-	// Fanout caps how many member cursor opens may be in flight at once
-	// (the open round trip is the expensive burst); 0 means no cap. Pumps
-	// release the slot once their cursor is open, so a cap below the member
-	// count can never deadlock the ordered merge.
-	Fanout int
 	// Window is the per-member read-ahead window in parallel mode; 0 means
 	// DefaultWindow.
 	Window int
@@ -55,7 +50,6 @@ type Doc struct {
 	id      string
 	spec    Spec
 	members []Member
-	fanout  int
 	window  int
 
 	mu     sync.Mutex
@@ -88,8 +82,7 @@ func NewDoc(id string, spec Spec, members []Member, cfg Config) (*Doc, error) {
 		window = DefaultWindow
 	}
 	return &Doc{
-		id: id, spec: spec, members: members,
-		fanout: cfg.Fanout, window: window,
+		id: id, spec: spec, members: members, window: window,
 		routes: map[string]int64{},
 	}, nil
 }
@@ -108,20 +101,21 @@ func (d *Doc) ShardCount() int { return len(d.members) }
 
 // Open fans the scan out across the members the key constraints cannot
 // rule out. With opts.Parallel (and a fan-out the cost model predicts to
-// win) every member gets a pump goroutine with a bounded window; otherwise
-// members are drained on the caller's goroutine. Ordered scans k-way merge
-// the member streams on the partition key, so the global document order is
-// reproduced exactly; unordered scans interleave deterministically
-// (round-robin), never by arrival timing. The zero ScanOpts is the
-// conservative scan for callers without scan context: sequential, ordered,
-// every member.
+// win) every member gets a pump: a source.OpenAhead producer with a bounded
+// window; otherwise members are drained on the caller's goroutine. Ordered
+// scans k-way merge the member streams on the partition key, so the global
+// document order is reproduced exactly; unordered scans interleave
+// deterministically (round-robin), never by arrival timing. The zero
+// ScanOpts is the conservative scan for callers without scan context:
+// sequential, ordered, every member.
 func (d *Doc) Open(opts source.ScanOpts) (source.ElemCursor, error) {
 	live := d.route(opts.Keys)
 	d.noteScan(live)
 	c := &fanCursor{
 		d:       d,
 		ordered: !opts.Unordered,
-		stop:    make(chan struct{}),
+		members: live,
+		curs:    make([]source.ElemCursor, len(live)),
 		state:   make([]supState, len(live)),
 		keys:    make([]string, len(live)),
 		heads:   make([]*xtree.Node, len(live)),
@@ -129,28 +123,19 @@ func (d *Doc) Open(opts source.ScanOpts) (source.ElemCursor, error) {
 	// Members see the execution knobs only: their own children are one
 	// ordered partition, and the key constraints were spent on routing.
 	mopts := source.ScanOpts{BatchSize: opts.BatchSize, Prefetch: opts.Prefetch, Parallel: opts.Parallel}
-	if opts.Parallel && len(live) > 1 && d.fanOutWins(len(live), opts.BatchSize) {
-		// The pump goroutine itself is the read-ahead, so the member is
-		// opened on it synchronously rather than behind another async layer.
+	pump := opts.Parallel && len(live) > 1 && d.fanOutWins(len(live), opts.BatchSize)
+	if pump {
+		// The pump itself is the read-ahead, so the member is opened on it
+		// synchronously rather than behind another async layer.
 		mopts.Parallel = false
-		var sem chan struct{}
-		if d.fanout > 0 && d.fanout < len(live) {
-			sem = make(chan struct{}, d.fanout)
-		}
-		for _, m := range live {
-			p := &pumpSupplier{
-				m:    m,
-				ch:   make(chan pumpItem, d.window),
-				done: make(chan struct{}),
-			}
-			c.sups = append(c.sups, p)
-			c.pumps = append(c.pumps, p)
-			c.startPump(p, mopts, sem)
-		}
-		return c, nil
 	}
-	for _, m := range live {
-		c.sups = append(c.sups, &seqSupplier{m: m, opts: mopts})
+	for i, m := range live {
+		open := func() (source.ElemCursor, error) { return m.Doc.Open(mopts) }
+		if pump {
+			c.curs[i] = source.OpenAhead(open, d.window)
+		} else {
+			c.curs[i] = &lazyCursor{open: open}
+		}
 	}
 	return c, nil
 }
@@ -308,29 +293,20 @@ const (
 	supDone                    // exhausted or dead
 )
 
-// supplier is one member's element stream as the merge sees it, backed by
-// either a direct cursor (sequential mode) or a pump channel.
-type supplier interface {
-	next() (*xtree.Node, bool, error)
-	member() Member
-}
-
-// seqSupplier drains a member on the consumer's goroutine, opening lazily.
-type seqSupplier struct {
-	m      Member
-	opts   source.ScanOpts
+// lazyCursor drains a member on the consumer's goroutine: it opens the
+// member on the first pull and closes it as soon as it ends.
+type lazyCursor struct {
+	open   func() (source.ElemCursor, error)
 	cur    source.ElemCursor
 	closed bool
 }
 
-func (s *seqSupplier) member() Member { return s.m }
-
-func (s *seqSupplier) next() (*xtree.Node, bool, error) {
+func (s *lazyCursor) Next() (*xtree.Node, bool, error) {
 	if s.closed {
 		return nil, false, nil
 	}
 	if s.cur == nil {
-		cur, err := s.m.Doc.Open(s.opts)
+		cur, err := s.open()
 		if err != nil {
 			s.closed = true
 			return nil, false, err
@@ -339,42 +315,16 @@ func (s *seqSupplier) next() (*xtree.Node, bool, error) {
 	}
 	n, ok, err := s.cur.Next()
 	if err != nil || !ok {
-		s.close()
+		s.Close()
 	}
 	return n, ok, err
 }
 
-func (s *seqSupplier) close() {
+func (s *lazyCursor) Close() {
 	if !s.closed && s.cur != nil {
 		s.cur.Close()
 	}
 	s.closed = true
-}
-
-type pumpItem struct {
-	n   *xtree.Node
-	err error
-}
-
-// pumpSupplier reads a member through a bounded channel a pump goroutine
-// fills; a closed channel means the member is drained.
-type pumpSupplier struct {
-	m    Member
-	ch   chan pumpItem
-	done chan struct{}
-}
-
-func (p *pumpSupplier) member() Member { return p.m }
-
-func (p *pumpSupplier) next() (*xtree.Node, bool, error) {
-	it, ok := <-p.ch
-	if !ok {
-		return nil, false, nil
-	}
-	if it.err != nil {
-		return nil, false, it.err
-	}
-	return it.n, true, nil
 }
 
 // fanCursor merges the member streams. It implements
@@ -383,16 +333,13 @@ func (p *pumpSupplier) next() (*xtree.Node, bool, error) {
 type fanCursor struct {
 	d       *Doc
 	ordered bool
-	sups    []supplier
-	pumps   []*pumpSupplier
+	members []Member            // members[i] names curs[i] in errors
+	curs    []source.ElemCursor // one per live member: a pump or a lazyCursor
 	state   []supState
 	heads   []*xtree.Node
 	keys    []string // normalized merge key per buffered head
 	rr      int
 	failed  error
-
-	stop chan struct{}
-	once sync.Once
 }
 
 // Resilient marks the cursor as able to continue past member loss.
@@ -417,9 +364,9 @@ func (c *fanCursor) Next() (*xtree.Node, bool, error) {
 // ordered subset of one totally-ordered child list), so the k-way merge
 // reproduces the unsharded document order exactly.
 func (c *fanCursor) nextOrdered() (*xtree.Node, bool, error) {
-	for i := range c.sups {
+	for i := range c.curs {
 		for c.state[i] == supPending {
-			n, ok, err := c.sups[i].next()
+			n, ok, err := c.curs[i].Next()
 			if err != nil {
 				return nil, false, c.supFailed(i, err)
 			}
@@ -433,7 +380,7 @@ func (c *fanCursor) nextOrdered() (*xtree.Node, bool, error) {
 		}
 	}
 	min := -1
-	for i := range c.sups {
+	for i := range c.curs {
 		if c.state[i] != supHave {
 			continue
 		}
@@ -453,14 +400,14 @@ func (c *fanCursor) nextOrdered() (*xtree.Node, bool, error) {
 // nextRR interleaves the member streams round-robin — deterministic for a
 // given fleet content, independent of pump timing.
 func (c *fanCursor) nextRR() (*xtree.Node, bool, error) {
-	for scanned := 0; scanned < len(c.sups); {
-		i := c.rr % len(c.sups)
+	for scanned := 0; scanned < len(c.curs); {
+		i := c.rr % len(c.curs)
 		if c.state[i] == supDone {
 			c.rr++
 			scanned++
 			continue
 		}
-		n, ok, err := c.sups[i].next()
+		n, ok, err := c.curs[i].Next()
 		if err != nil {
 			return nil, false, c.supFailed(i, err)
 		}
@@ -476,11 +423,11 @@ func (c *fanCursor) nextRR() (*xtree.Node, bool, error) {
 	return nil, false, nil
 }
 
-// supFailed marks supplier i dead and qualifies its error. Availability
+// supFailed marks member i dead and qualifies its error. Availability
 // failures leave the cursor usable (resilience); anything else poisons it.
 func (c *fanCursor) supFailed(i int, err error) error {
 	c.state[i] = supDone
-	werr := c.d.memberErr(c.sups[i].member(), err)
+	werr := c.d.memberErr(c.members[i], err)
 	var sue *source.SourceUnavailableError
 	if !errors.As(werr, &sue) {
 		c.failed = werr
@@ -488,63 +435,15 @@ func (c *fanCursor) supFailed(i int, err error) error {
 	return werr
 }
 
-// Close cancels every pump, joins them, and releases sequential cursors.
-// Idempotent.
+// Close cancels every pump before joining any, so their last member pulls
+// overlap, then closes the sequential cursors. Idempotent.
 func (c *fanCursor) Close() {
-	c.once.Do(func() { close(c.stop) })
-	for _, p := range c.pumps {
-		<-p.done
-	}
-	for _, s := range c.sups {
-		if seq, ok := s.(*seqSupplier); ok {
-			seq.close()
+	for _, cur := range c.curs {
+		if p, ok := cur.(interface{ Cancel() }); ok {
+			p.Cancel()
 		}
 	}
-}
-
-// startPump launches the producer goroutine for one member: acquire an
-// open slot, open the member cursor, release the slot, then pump elements
-// into the bounded window until drained or cancelled.
-func (c *fanCursor) startPump(p *pumpSupplier, opts source.ScanOpts, sem chan struct{}) {
-	go func() {
-		defer close(p.done)
-		defer close(p.ch)
-		if sem != nil {
-			select {
-			case sem <- struct{}{}:
-			case <-c.stop:
-				return
-			}
-		}
-		cur, err := p.m.Doc.Open(opts)
-		if sem != nil {
-			<-sem
-		}
-		if err != nil {
-			select {
-			case p.ch <- pumpItem{err: err}:
-			case <-c.stop:
-			}
-			return
-		}
-		defer cur.Close()
-		for {
-			n, ok, err := cur.Next()
-			if err != nil {
-				select {
-				case p.ch <- pumpItem{err: err}:
-				case <-c.stop:
-				}
-				return
-			}
-			if !ok {
-				return
-			}
-			select {
-			case p.ch <- pumpItem{n: n}:
-			case <-c.stop:
-				return
-			}
-		}
-	}()
+	for _, cur := range c.curs {
+		cur.Close()
+	}
 }

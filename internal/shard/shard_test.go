@@ -363,10 +363,10 @@ func TestMemberLossResilience(t *testing.T) {
 }
 
 // Closing a parallel scan mid-stream cancels and joins every pump (the
-// testleak guard fails the test otherwise), even with an open-slot cap.
+// testleak guard fails the test otherwise).
 func TestCloseJoinsPumps(t *testing.T) {
 	defer testleak.Check(t)()
-	d, _ := fleet(t, 4, keyRange(200), shard.Config{Fanout: 2, Window: 4})
+	d, _ := fleet(t, 4, keyRange(200), shard.Config{Window: 4})
 	cur, err := d.Open(source.ScanOpts{Unordered: true, Parallel: true})
 	if err != nil {
 		t.Fatal(err)

@@ -6,11 +6,12 @@ import (
 	"mix/internal/xtree"
 )
 
-// Asynchronous source access: OpenAhead moves a cursor's open call and a
-// bounded read-ahead onto a producer goroutine, so a federated plan touching
-// N sources pays max() of their connection latencies instead of their sum.
-// Documents whose open is a round trip (wire.RemoteDoc, nested federated
-// documents) wrap themselves in it when a scan asks for ScanOpts.Parallel.
+// Bounded read-ahead: a producer goroutine changes when a pull happens, never
+// what is pulled. Ahead is the one implementation. The engine's exchange
+// operator runs a plan fragment's tuple cursor through it; OpenAhead moves a
+// source cursor's open call and read-ahead onto it, so a federated plan
+// touching N sources pays max() of their connection latencies instead of
+// their sum; a shard coordinator gives each member one when it fans out.
 
 // AsyncCursor marks cursors that own producer goroutines (OpenAhead, a shard
 // fan-out): Close may be called from another goroutine while Next is blocked,
@@ -23,23 +24,40 @@ type AsyncCursor interface {
 	Async()
 }
 
-type aheadItem struct {
-	n   *xtree.Node
+// Puller is a cursor of any item type: an ElemCursor, or an engine tuple
+// cursor. A non-nil error is terminal.
+type Puller[T any] interface {
+	Next() (T, bool, error)
+}
+
+type aheadItem[T any] struct {
+	v   T
 	err error
 }
 
-// OpenAhead runs open on a new goroutine and streams the resulting cursor
-// through a bounded channel of the given depth: the source-side analogue of
-// the engine's exchange operator. The first Next blocks until open's outcome
-// is known; an open error is delivered as the first (terminal) item. Close
-// cancels the producer, joins it, and closes the inner cursor exactly once —
-// the producer owns the cursor for its whole lifetime.
-func OpenAhead(open func() (ElemCursor, error), depth int) ElemCursor {
+// Ahead streams a cursor through a bounded channel filled by a producer
+// goroutine. The producer runs open, then pulls at most depth items ahead of
+// the consumer before backpressure blocks it; an open or pull error is
+// delivered in band as the last item. Cancellation is observed between
+// pulls, so a producer blocked inside a slow Next is joined as soon as that
+// pull returns. The producer owns the inner cursor and closes it exactly
+// once, if it has a Close method, before the consumer can see end of stream.
+// Next and Close may be called from different goroutines.
+type Ahead[T any] struct {
+	ch   chan aheadItem[T]
+	stop chan struct{}
+	done chan struct{}
+	once sync.Once
+}
+
+// NewAhead starts the producer for open with a read-ahead of depth items
+// (at least 1).
+func NewAhead[T any](open func() (Puller[T], error), depth int) *Ahead[T] {
 	if depth < 1 {
 		depth = 1
 	}
-	a := &aheadCursor{
-		ch:   make(chan aheadItem, depth),
+	a := &Ahead[T]{
+		ch:   make(chan aheadItem[T], depth),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -47,72 +65,70 @@ func OpenAhead(open func() (ElemCursor, error), depth int) ElemCursor {
 	return a
 }
 
-// Prefetch wraps an already-open cursor with the same bounded read-ahead.
-func Prefetch(inner ElemCursor, depth int) ElemCursor {
-	return OpenAhead(func() (ElemCursor, error) { return inner, nil }, depth)
-}
-
-type aheadCursor struct {
-	ch   chan aheadItem
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+// OpenAhead runs open and a bounded read-ahead of its cursor on a producer
+// goroutine. The first Next blocks until open's outcome is known; an open
+// error is delivered as the first (terminal) item.
+func OpenAhead(open func() (ElemCursor, error), depth int) ElemCursor {
+	return NewAhead(func() (Puller[*xtree.Node], error) { return open() }, depth)
 }
 
 // Async marks the cursor as safe to force-close.
-func (a *aheadCursor) Async() {}
+func (a *Ahead[T]) Async() {}
 
-func (a *aheadCursor) run(open func() (ElemCursor, error)) {
+func (a *Ahead[T]) run(open func() (Puller[T], error)) {
 	defer close(a.done)
 	defer close(a.ch)
 	cur, err := open()
 	if err != nil {
-		select {
-		case a.ch <- aheadItem{err: err}:
-		case <-a.stop:
-		}
+		a.send(aheadItem[T]{err: err})
 		return
 	}
-	defer cur.Close()
+	if c, ok := cur.(interface{ Close() }); ok {
+		defer c.Close()
+	}
 	for {
 		select {
 		case <-a.stop:
 			return
 		default:
 		}
-		n, ok, err := cur.Next()
+		v, ok, err := cur.Next()
 		if err != nil {
-			select {
-			case a.ch <- aheadItem{err: err}:
-			case <-a.stop:
-			}
+			a.send(aheadItem[T]{err: err})
 			return
 		}
-		if !ok {
-			return
-		}
-		select {
-		case a.ch <- aheadItem{n: n}:
-		case <-a.stop:
+		if !ok || !a.send(aheadItem[T]{v: v}) {
 			return
 		}
 	}
 }
 
-func (a *aheadCursor) Next() (*xtree.Node, bool, error) {
+// send delivers it unless the cursor is cancelled first.
+func (a *Ahead[T]) send(it aheadItem[T]) bool {
+	select {
+	case a.ch <- it:
+		return true
+	case <-a.stop:
+		return false
+	}
+}
+
+func (a *Ahead[T]) Next() (T, bool, error) {
 	it, ok := <-a.ch
-	if !ok {
-		return nil, false, nil
+	if !ok || it.err != nil {
+		var zero T
+		return zero, false, it.err
 	}
-	if it.err != nil {
-		return nil, false, it.err
-	}
-	return it.n, true, nil
+	return it.v, true, nil
 }
 
-// Close cancels the producer and joins it; idempotent and safe to call
-// concurrently with Next.
-func (a *aheadCursor) Close() {
-	a.once.Do(func() { close(a.stop) })
+// Cancel asks the producer to stop without waiting for it. A caller closing
+// several cursors cancels them all before joining any, so their last pulls
+// overlap.
+func (a *Ahead[T]) Cancel() { a.once.Do(func() { close(a.stop) }) }
+
+// Close cancels the producer and joins it; idempotent.
+func (a *Ahead[T]) Close() {
+	a.Cancel()
 	<-a.done
 }

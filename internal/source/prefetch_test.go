@@ -76,7 +76,7 @@ func TestOpenAheadCloseLeavesNothing(t *testing.T) {
 	t.Run("after exhaustion", func(t *testing.T) {
 		defer testleak.Check(t)()
 		inner := &countCursor{left: 5}
-		cur := source.Prefetch(inner, 2)
+		cur := source.OpenAhead(func() (source.ElemCursor, error) { return inner, nil }, 2)
 		got := 0
 		for {
 			_, ok, err := cur.Next()

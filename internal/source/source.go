@@ -126,10 +126,6 @@ type Catalog struct {
 	relDBs  map[string]*relstore.DB
 	relDocs map[string]RelBinding
 
-	// rowHints holds administrator-declared source sizes (SetRowsHint) for
-	// documents that cannot report their own; nil until the first hint.
-	rowHints map[string]int64
-
 	// resCache, when enabled, memoizes relational source results for every
 	// SQL shipped through ExecRel (engine rQ subplans and wrapper scans).
 	resCache *ResultCache

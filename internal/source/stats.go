@@ -2,15 +2,15 @@ package source
 
 import (
 	"mix/internal/relstore"
+	"mix/internal/sqlexec"
 	"mix/internal/sqlparse"
-	"mix/internal/xtree"
 )
 
 // SizeHinted is implemented by source documents that can report (an estimate
 // of) their top-level element count without being scanned: local XML trees
 // know their children, wrapper views ask the store's statistics. Remote
-// documents do not implement it — the mediator learns their size from an
-// administrator hint (SetRowsHint) or falls back to the estimator's default.
+// documents do not implement it, and the estimator falls back to its
+// default.
 type SizeHinted interface {
 	EstRows() (int64, bool)
 }
@@ -27,30 +27,13 @@ func (d *relDoc) EstRows() (int64, bool) {
 	return ts.Rows, true
 }
 
-// SetRowsHint declares the top-level element count of a source that cannot
-// report one itself (a remote mediator) — the classic mediator arrangement
-// where sources export their statistics out of band. Hints take precedence
-// over SizeHinted so an administrator can also override a local estimate.
-func (c *Catalog) SetRowsHint(srcID string, rows int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.rowHints == nil {
-		c.rowHints = map[string]int64{}
-	}
-	c.rowHints[srcID] = rows
-}
-
 // DocRows answers the optimizer's "how big is this source?" for a document
-// id: an explicit hint if one was set, otherwise whatever the document
-// itself can report. The second result is false when neither knows.
+// id: whatever the document itself can report. The second result is false
+// when it cannot.
 func (c *Catalog) DocRows(srcID string) (int64, bool) {
 	c.mu.RLock()
-	n, hinted := c.rowHints[srcID]
 	d := c.docs[srcID]
 	c.mu.RUnlock()
-	if hinted {
-		return n, true
-	}
 	if sh, ok := d.(SizeHinted); ok {
 		return sh.EstRows()
 	}
@@ -88,8 +71,8 @@ func (c *Catalog) RelStats(server, relation string) (relstore.TableStats, relsto
 // executing sql at the source: one FROM entry, no DISTINCT, ORDER BY exactly
 // the relation's key (the order both the cached scan and the generated
 // pushdowns use — sqlexec sorts stably, so filtering the sorted scan equals
-// sorting the filtered subset), and every predicate a plain comparison the
-// mediator can evaluate with the source's own semantics.
+// sorting the filtered subset), and every predicate a comparison over the
+// relation's columns, evaluated by sqlexec's own compiler.
 func (c *Catalog) AnswerFromScanCache(db *relstore.DB, sql string) (relstore.Cursor, bool) {
 	c.mu.RLock()
 	rc := c.resCache
@@ -134,8 +117,8 @@ func (c *Catalog) AnswerFromScanCache(db *relstore.DB, sql string) (relstore.Cur
 	// (all schema columns, by position).
 	var filters []func([]relstore.Datum) bool
 	for _, p := range q.Where {
-		f, ok := compileScanPred(schema, colIdx, p)
-		if !ok {
+		f, err := sqlexec.CompilePred(schema, alias, p)
+		if err != nil {
 			return nil, false
 		}
 		filters = append(filters, f)
@@ -149,59 +132,6 @@ func (c *Catalog) AnswerFromScanCache(db *relstore.DB, sql string) (relstore.Cur
 		proj[i] = idx
 	}
 	return &scanCacheCursor{rows: rows, filters: filters, proj: proj}, true
-}
-
-// compileScanPred compiles one WHERE conjunct over a full schema row,
-// mirroring sqlexec's operand typing: a literal is parsed with the opposing
-// column's type and falls back to a string on mismatch.
-func compileScanPred(schema relstore.Schema, colIdx func(sqlparse.ColRef) int, p sqlparse.Pred) (func([]relstore.Datum) bool, bool) {
-	getter := func(e, other sqlparse.Expr) (func([]relstore.Datum) relstore.Datum, bool) {
-		if e.IsLit {
-			typ := relstore.TString
-			if !other.IsLit {
-				if idx := colIdx(other.Col); idx >= 0 {
-					typ = schema.Columns[idx].Type
-				}
-			}
-			d, err := relstore.ParseDatum(typ, e.Lit)
-			if err != nil {
-				d = relstore.Str(e.Lit)
-			}
-			return func([]relstore.Datum) relstore.Datum { return d }, true
-		}
-		idx := colIdx(e.Col)
-		if idx < 0 {
-			return nil, false
-		}
-		return func(row []relstore.Datum) relstore.Datum { return row[idx] }, true
-	}
-	lf, ok := getter(p.Left, p.Right)
-	if !ok {
-		return nil, false
-	}
-	rf, ok := getter(p.Right, p.Left)
-	if !ok {
-		return nil, false
-	}
-	op := p.Op
-	return func(row []relstore.Datum) bool {
-		c := relstore.Compare(lf(row), rf(row))
-		switch op {
-		case xtree.OpEQ:
-			return c == 0
-		case xtree.OpNE:
-			return c != 0
-		case xtree.OpLT:
-			return c < 0
-		case xtree.OpLE:
-			return c <= 0
-		case xtree.OpGT:
-			return c > 0
-		case xtree.OpGE:
-			return c >= 0
-		}
-		return false
-	}, true
 }
 
 // scanCacheCursor filters and projects a cached scan. Like the replay

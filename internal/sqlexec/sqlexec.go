@@ -352,6 +352,16 @@ func (r *resolver) predTables(p sqlparse.Pred) ([]int, error) {
 	return out, nil
 }
 
+// CompilePred compiles one WHERE conjunct over a row of a single relation
+// (its columns in schema order, the FROM entry aliased alias) with the
+// operand typing Exec uses: a literal takes the type of the column it is
+// compared with and falls back to a string.
+func CompilePred(schema relstore.Schema, alias string, p sqlparse.Pred) (func([]relstore.Datum) bool, error) {
+	// Name resolution reads only a binding's schema, never its rows.
+	r := &resolver{bindings: []binding{{alias: alias, scan: &relstore.Scan{Schema: schema}}}}
+	return r.compile(p, 0)
+}
+
 // compiledPred evaluates a predicate over a row.
 type compiledPred func(row []relstore.Datum) bool
 

@@ -19,7 +19,7 @@ const (
 	DefaultBackoffMax       = 500 * time.Millisecond
 	DefaultBreakerThreshold = 5
 	DefaultBreakerCooldown  = time.Second
-	// DefaultBatchSize caps one children/scan batch. The adaptive window
+	// DefaultBatchSize caps one children batch. The adaptive window
 	// starts at one frame and doubles toward this cap as the client keeps
 	// scanning, so the cap is only reached on long walks.
 	DefaultBatchSize = 64
@@ -122,7 +122,7 @@ type ClientConfig struct {
 	// Clock overrides the breaker's time source (tests). Nil means
 	// time.Now. Op deadlines always use the wall clock.
 	Clock func() time.Time
-	// BatchSize caps one batched-navigation window (the children/scan ops):
+	// BatchSize caps one batched-navigation window (the children op):
 	// Down starts an adaptive read-ahead cursor whose batches grow
 	// geometrically from 1 toward this cap while Right keeps consuming.
 	// 0 means DefaultBatchSize; 1 or negative disables batching entirely,
@@ -255,7 +255,7 @@ type Client struct {
 
 	redials        int64 // diagnostics: successful reconnects
 	reqsSent       int64 // round trips issued (counted after a successful write)
-	batchesFetched int64 // children/scan batches received
+	batchesFetched int64 // children batches received
 	framesBatched  int64 // frames across those batches
 	busyRetries    int64 // retries consumed by server-busy rejections
 	resumes        int64 // successful session-token resumes

@@ -11,7 +11,7 @@
 //
 // Laziness crosses the wire: a navigation command evaluates exactly one
 // QDOM step at the mediator, so remote clients get the same demand-driven
-// source access as local ones. The batched children/scan ops amortize the
+// source access as local ones. The batched children op amortizes the
 // per-step round trip without giving up that demand-driven shape: a batch
 // carries up to Max sibling frames, the client's adaptive read-ahead starts
 // at one frame (first-answer latency stays lazy) and grows geometrically
@@ -40,11 +40,10 @@ package wire
 type Request struct {
 	ID int64
 	// Op is the command: open, query, queryFrom, down, right, up, label,
-	// value, nodeID, materialize, children, scan, stats, ping, close,
-	// resume. close releases the node handle it names and is idempotent.
-	// children and scan are the batched navigation ops: children returns up
-	// to Max sibling frames starting at the Skip-th child of Handle; scan
-	// returns up to Max right-siblings of Handle itself. resume presents a
+	// value, nodeID, materialize, children, stats, ping, close, resume.
+	// close releases the node handle it names and is idempotent. children
+	// is the batched navigation op: it returns up to Max sibling frames
+	// starting at the Skip-th child of Handle. resume presents a
 	// session token (Token) as the first request of a reconnected session so
 	// an evicted client re-attaches its session record; it is idempotent and
 	// a no-op on servers without session limits.
@@ -57,11 +56,11 @@ type Request struct {
 	Handle int64
 	// Skip is the child index a children batch starts at.
 	Skip int
-	// Max caps the number of frames a children/scan batch may carry. The
+	// Max caps the number of frames a children batch may carry. The
 	// server caps it further by its own batch, handle-table and frame
 	// budgets; 0 means 1.
 	Max int
-	// Deep asks children/scan to ship each frame's materialized subtree
+	// Deep asks children to ship each frame's materialized subtree
 	// XML alongside the navigation fields (federated source scans).
 	Deep bool
 	// Release piggybacks node handles to free before the op runs: consumed
@@ -72,7 +71,7 @@ type Request struct {
 	Token string
 }
 
-// NodeFrame is one node of a batched children/scan response: the same
+// NodeFrame is one node of a batched children response: the same
 // piggybacked navigation fields a single-step response carries, plus the
 // subtree XML under Deep.
 type NodeFrame struct {
@@ -123,7 +122,7 @@ type Response struct {
 	// (ping included) doubles as the version check.
 	DataVersion int64
 
-	// Frames carries a children/scan batch in sibling order.
+	// Frames carries a children batch in sibling order.
 	Frames []NodeFrame
 	// More reports that siblings remain past the last frame (the batch was
 	// cut by Max or by a server budget, not by exhaustion).

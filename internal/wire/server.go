@@ -21,7 +21,7 @@ import (
 // server memory.
 const DefaultMaxHandles = 1 << 16
 
-// DefaultMaxBatch caps the frames one children/scan response may carry,
+// DefaultMaxBatch caps the frames one children response may carry,
 // whatever the client asks for.
 const DefaultMaxBatch = 256
 
@@ -55,7 +55,7 @@ type Server struct {
 	// DefaultMaxHandles. Allocation past the bound fails with an error
 	// telling the client to release handles.
 	MaxHandles int
-	// MaxBatch caps the frames one children/scan response carries, whatever
+	// MaxBatch caps the frames one children response carries, whatever
 	// the client's Max asks for; 0 means DefaultMaxBatch.
 	MaxBatch int
 	// ErrorLog, when set, receives per-connection failures (malformed
@@ -529,17 +529,6 @@ func (s *session) handle(req Request) (resp Response) {
 			return fail(fmt.Errorf("children: negative skip %d", req.Skip))
 		}
 		return s.batchResp(req, n.ChildStream(req.Skip))
-	case "scan":
-		// Batched r*: up to Max right-siblings of Handle itself.
-		n, err := s.get(req.Handle)
-		if err != nil {
-			return fail(err)
-		}
-		cur := n
-		return s.batchResp(req, func() *mix.Node {
-			cur = cur.Right()
-			return cur
-		})
 	case "label":
 		n, err := s.get(req.Handle)
 		if err != nil {
@@ -624,7 +613,7 @@ func (fa *frameAppender) add(f NodeFrame) {
 	fa.resp.Frames = append(fa.resp.Frames, f)
 }
 
-// batchResp cuts one children/scan batch from next. Frames accumulate until
+// batchResp cuts one children batch from next. Frames accumulate until
 // the client's Max, the server's MaxBatch, the frame-size budget, or the
 // handle table or session memory quota ends the batch. A budget or handle-table cut ships a partial
 // batch with More=true — the unshipped node holds no handle and the client

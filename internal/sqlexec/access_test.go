@@ -29,6 +29,7 @@ func TestHandCasesEqualReference(t *testing.T) {
 	for name, db := range dbs {
 		for _, sql := range []string{
 			browseSQL, inplaceSQL, fig12SQL,
+			fig12AllSQL, fig12ByOrderSQL, keysAgainstFromSQL, existsMidSQL, existsAloneSQL, existsTriangleSQL,
 			`SELECT id FROM customer ORDER BY id`,
 			`SELECT orid FROM orders WHERE cid = 'C000003' AND value > 5 ORDER BY orid`,
 			`SELECT orid FROM orders WHERE 'XYZ123' = cid`,
@@ -146,5 +147,29 @@ func TestFirstRowDoesNotDependOnTableSize(t *testing.T) {
 	}
 	if got := db.Stats().TuplesShipped; got != 26 {
 		t.Fatalf("26 rows pulled, %d shipped", got)
+	}
+}
+
+// TestFig12FirstRowDoesNotDependOnTableSize: Fig12's first row costs the
+// same allocations over 100 customers as over 1 000. c1 and o1 are an
+// existence test probed per c2, and c2, o2 lead in the ORDER BY's order, so
+// nothing sorts the whole four-way join before the first row; the sort that
+// did copied every joined row.
+func TestFig12FirstRowDoesNotDependOnTableSize(t *testing.T) {
+	firstRow := func(customers int) float64 {
+		db := workload.ScaleDB("db1", customers, 5, 42)
+		return testing.AllocsPerRun(20, func() {
+			cur, _, err := sqlexec.ExecSQL(db, fig12SQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row, ok := cur.Next(); !ok || row[0].S != "C000000" || row[3].S != "O00000000" {
+				t.Fatalf("first row = %v, %v", row, ok)
+			}
+			cur.Close()
+		})
+	}
+	if small, large := firstRow(100), firstRow(1000); small != large || small > 150 {
+		t.Fatalf("Fig12's first row: %v allocations over 100 customers, %v over 1000; want equal and under 150", small, large)
 	}
 }

@@ -188,19 +188,14 @@ func isIdentByte(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 }
 
+// isNumber reports whether parseExpr reads s back as a number: a digit or
+// '-' first, then digits and dots. String prints any other literal quoted.
 func isNumber(s string) bool {
-	if s == "" {
+	if s == "" || s[0] != '-' && (s[0] < '0' || s[0] > '9') {
 		return false
 	}
-	dot := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= '0' && c <= '9':
-		case c == '.' && !dot:
-			dot = true
-		case c == '-' && i == 0:
-		default:
+	for i := 1; i < len(s); i++ {
+		if c := s[i]; c != '.' && (c < '0' || c > '9') {
 			return false
 		}
 	}

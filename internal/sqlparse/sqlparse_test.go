@@ -187,3 +187,40 @@ func TestGeneratedRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLiteralsPrintAsParsed: a literal prints bare exactly when parseExpr
+// reads the bare text back as the same literal. "." and ".5" printed bare
+// read as a column reference, and the pushed SQL did not parse.
+func TestLiteralsPrintAsParsed(t *testing.T) {
+	for _, tc := range []struct {
+		lit     string
+		printed string
+	}{
+		{".", "'.'"},
+		{".5", "'.5'"},
+		{"-", "-"},
+		{"-.", "-."},
+		{"1.2.3", "1.2.3"},
+		{"0.5", "0.5"},
+		{"-12", "-12"},
+		{"5-", "'5-'"},
+		{"", "''"},
+	} {
+		if got := (Expr{IsLit: true, Lit: tc.lit}).String(); got != tc.printed {
+			t.Errorf("literal %q prints as %s, want %s", tc.lit, got, tc.printed)
+		}
+		q := &Select{
+			Cols:  []ColRef{{Column: "id"}},
+			From:  []TableRef{{Relation: "customer", Alias: "customer"}},
+			Where: []Pred{{Left: Expr{Col: ColRef{Column: "addr"}}, Op: xtree.OpEQ, Right: Expr{IsLit: true, Lit: tc.lit}}},
+		}
+		back, err := Parse(q.String())
+		if err != nil {
+			t.Errorf("literal %q: %s does not parse: %v", tc.lit, q, err)
+			continue
+		}
+		if got := back.Where[0].Right; !got.IsLit || got.Lit != tc.lit {
+			t.Errorf("literal %q: %s parses back as %+v", tc.lit, q, got)
+		}
+	}
+}

@@ -811,3 +811,33 @@ RETURN
 		t.Fatalf("oracle disagreement: %d vs %d", len(want.Materialize().Children), len(m.Children))
 	}
 }
+
+// TestDotLiteralsReachTheSource: a string literal that is a dot, or a dot
+// and digits, is pushed to the source quoted. Printed bare it read as a
+// column reference, the pushed SQL did not parse, and the query failed.
+func TestDotLiteralsReachTheSource(t *testing.T) {
+	db := buildShop()
+	db.MustInsert("customer", mix.Str("C3"), mix.Str("Dot"), mix.Str("."))
+	db.MustInsert("customer", mix.Str("C4"), mix.Str("Half"), mix.Str(".5"))
+	med := mix.New()
+	med.AddRelationalSource(db)
+	for _, tc := range []struct{ addr, name string }{{".", "Dot"}, {".5", "Half"}} {
+		doc, err := med.Query(`
+FOR $C IN document(&shop.customer)/customer
+WHERE $C/addr = "` + tc.addr + `"
+RETURN $C`)
+		if err != nil {
+			t.Fatalf("addr = %q: %v", tc.addr, err)
+		}
+		var names []string
+		for n := doc.Root().Down(); n != nil; n = n.Right() {
+			names = append(names, n.Materialize().Find("name").Children[0].Label)
+		}
+		if err := doc.Err(); err != nil {
+			t.Fatalf("addr = %q: %v", tc.addr, err)
+		}
+		if len(names) != 1 || names[0] != tc.name {
+			t.Errorf("addr = %q: customers %v, want [%s]", tc.addr, names, tc.name)
+		}
+	}
+}

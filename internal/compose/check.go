@@ -2,14 +2,15 @@ package compose
 
 import "mix/internal/xmas"
 
-// checkPlan validates a composed plan, upgrading to the full static
-// verifier (nested-schema consistency and all) in debug mode. Composition
-// splices a view plan under a query plan with fresh-variable renaming; the
-// verifier gate catches a splice that breaks a partition schema before the
-// rewriter or engine ever sees the plan.
+// checkPlan verifies a composed plan in debug mode (the full static
+// verifier, nested-schema consistency and all). Composition splices a view
+// plan under a query plan with fresh-variable renaming; the gate catches a
+// splice that breaks a partition schema at the splice, not later. Outside
+// debug mode the rewriter validates the plan on entry and engine.Compile
+// verifies what it compiles, so the plan is not checked here too.
 func checkPlan(plan xmas.Op) error {
 	if xmas.DebugEnabled() {
 		return xmas.Verify(plan)
 	}
-	return xmas.Validate(plan)
+	return nil
 }

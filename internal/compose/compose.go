@@ -58,9 +58,10 @@ func Decontextualize(origin *OriginPlan, ctx qdom.Context, q *xquery.Query, root
 		return nil, fmt.Errorf("compose: translating in-place query: %w", err)
 	}
 
-	// 2. Freshen the view plan's variables against the query's.
+	// 2. Freshen the view plan's variables against the query's. The renamed
+	// plan shares every node no renaming touches with the view's own plan.
 	taken := xmas.AllVars(tq.Plan)
-	inner := xmas.Clone(viewTD.In)
+	inner := viewTD.In
 	renaming := xmas.FreshVars(inner, taken, nil)
 	inner = xmas.Rename(inner, renaming)
 	rename := func(v xmas.Var) xmas.Var {
@@ -172,25 +173,22 @@ func splice(op xmas.Op, rootName string, fromVar xmas.Var, prefix xmas.Path, pin
 			return nil, 0, fmt.Errorf("compose: bare mkSrc(%s) without a path is not supported", rootName)
 		}
 	}
-	ins := op.Inputs()
 	total := 0
-	newIns := make([]xmas.Op, len(ins))
-	for i, in := range ins {
-		sub, n, err := splice(in, rootName, fromVar, prefix, pinned)
+	var err error
+	out := xmas.MapInputs(op, func(in xmas.Op) xmas.Op {
 		if err != nil {
-			return nil, 0, err
+			return in
 		}
-		newIns[i] = sub
-		total += n
-	}
-	out := op.WithInputs(newIns...)
-	if a, ok := out.(*xmas.Apply); ok {
-		sub, n, err := splice(a.Plan, rootName, fromVar, prefix, pinned)
-		if err != nil {
-			return nil, 0, err
+		sub, n, serr := splice(in, rootName, fromVar, prefix, pinned)
+		if serr != nil {
+			err = serr
+			return in
 		}
-		a.Plan = sub
 		total += n
+		return sub
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	return out, total, nil
 }
@@ -210,14 +208,15 @@ func unnestFor(op xmas.Op, fromVar xmas.Var) (xmas.Op, bool) {
 			if !ok {
 				return nil, false
 			}
-			inlined, ok := substNestedSrc(xmas.Clone(td.In), a.InpVar, p1)
+			inlined, ok := substNestedSrc(td.In, a.InpVar, p1)
 			if !ok {
 				return nil, false
 			}
 			return inlined, true
 		}
 	}
-	for _, in := range op.Inputs() {
+	ins, n := xmas.InputsOf(op)
+	for _, in := range ins[:n] {
 		if out, ok := unnestFor(in, fromVar); ok {
 			return out, true
 		}
@@ -250,24 +249,13 @@ func substNestedSrc(op xmas.Op, part xmas.Var, repl xmas.Op) (xmas.Op, bool) {
 	if ns, ok := op.(*xmas.NestedSrc); ok && ns.V == part {
 		return repl, true
 	}
-	ins := op.Inputs()
-	replaced := false
-	newIns := make([]xmas.Op, len(ins))
-	for i, in := range ins {
-		if replaced {
-			newIns[i] = in
-			continue
+	ins, n := xmas.InputsOf(op)
+	for i, in := range ins[:n] {
+		if sub, ok := substNestedSrc(in, part, repl); ok {
+			return xmas.WithInput(op, i, sub), true
 		}
-		sub, ok := substNestedSrc(in, part, repl)
-		if ok {
-			replaced = true
-		}
-		newIns[i] = sub
 	}
-	if !replaced {
-		return op, false
-	}
-	return op.WithInputs(newIns...), true
+	return op, false
 }
 
 // MaterializeFallback evaluates q against the materialized subtree rooted at

@@ -28,9 +28,8 @@ func NaiveCompose(origin *OriginPlan, q *xquery.Query, rootName, resultRootID st
 	}
 
 	taken := xmas.AllVars(tq.Plan)
-	view := xmas.Clone(origin.Plan)
-	renaming := xmas.FreshVars(view, taken, nil)
-	view = xmas.Rename(view, renaming)
+	renaming := xmas.FreshVars(origin.Plan, taken, nil)
+	view := xmas.Rename(origin.Plan, renaming)
 
 	attached := 0
 	composed := attachView(tq.Plan, rootName, view, &attached)
@@ -69,18 +68,9 @@ func attachView(op xmas.Op, rootName string, view xmas.Op, attached *int) xmas.O
 		if *attached == 1 {
 			c.In = view
 		} else {
-			c.In = xmas.Clone(view)
+			c.In = xmas.Clone(view) // one plan holds no node twice
 		}
 		return &c
 	}
-	ins := op.Inputs()
-	newIns := make([]xmas.Op, len(ins))
-	for i, in := range ins {
-		newIns[i] = attachView(in, rootName, view, attached)
-	}
-	out := op.WithInputs(newIns...)
-	if a, ok := out.(*xmas.Apply); ok {
-		a.Plan = attachView(a.Plan, rootName, view, attached)
-	}
-	return out
+	return xmas.MapInputs(op, func(in xmas.Op) xmas.Op { return attachView(in, rootName, view, attached) })
 }

@@ -26,7 +26,7 @@ func dropRule(outVar xmas.Var) rule {
 			return g.In, nil, true
 		}
 		return nil, nil, false
-	}}
+	}, getDOp}
 }
 
 func TestGateRejectsSchemaBreakingRewrite(t *testing.T) {
@@ -67,21 +67,26 @@ func TestGateRejectsVerifyBreakingRewrite(t *testing.T) {
 }
 
 func TestGateOffWithoutDebug(t *testing.T) {
-	// With debug off the buggy rule slips past the per-step gate; the final
-	// whole-plan verification still catches the unbound collect variable,
-	// but as a plain error, not a GateError. (The silent $X case is exactly
-	// what only the debug gate can catch.)
+	// With debug off neither the per-step gate nor the exit verification
+	// runs, so the buggy rule's plan leaves the rewriter. It is still
+	// rejected before it can run: engine.Compile verifies every plan, and
+	// that verification must catch the unbound collect variable. (The
+	// silent $X case is exactly what only the debug gate can catch.)
 	xmas.SetDebug(false)
 	defer xmas.SetDebug(true)
 	testExtraRules = []rule{dropRule("$Y")}
 	defer func() { testExtraRules = nil }()
 
-	_, _, err := Optimize(gatePlan(), Options{})
-	if err == nil {
-		t.Fatal("final verification should still reject the broken plan")
-	}
+	out, _, err := Optimize(gatePlan(), Options{})
 	var gerr *GateError
 	if errors.As(err, &gerr) {
 		t.Fatalf("got GateError %v with debug off; the per-step gate should be disabled", gerr)
+	}
+	if err != nil {
+		t.Fatalf("Optimize = %v; with debug off only the input is checked", err)
+	}
+	var verr *xmas.VerifyError
+	if !errors.As(xmas.Verify(out), &verr) {
+		t.Fatalf("the broken plan passes xmas.Verify, which compiling it runs:\n%s", xmas.Format(out))
 	}
 }

@@ -58,11 +58,13 @@ func labelsOfSpec(op xmas.Op, spec xmas.ChildSpec) ([]string, bool) {
 // them, so a real definition elsewhere in the subtree wins over one.
 func findDef(op xmas.Op, v xmas.Var) xmas.Op {
 	var real, nested xmas.Op
+	var buf []xmas.Var
 	xmas.Walk(op, func(x xmas.Op) bool {
 		if real != nil {
 			return false
 		}
-		for _, d := range xmas.DefinedVars(x) {
+		buf = xmas.AppendDefinedVars(buf[:0], x)
+		for _, d := range buf {
 			if d == v {
 				if _, isNested := x.(*xmas.NestedSrc); isNested {
 					if nested == nil {

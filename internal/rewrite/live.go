@@ -7,45 +7,64 @@ import "mix/internal/xmas"
 // simply be removed", and a join whose one side is only tested for existence
 // "can be converted into a semi-join" (Figures 19→20). It returns the
 // rebuilt plan and whether anything changed.
-func eliminateDead(root xmas.Op) (xmas.Op, bool) {
+func eliminateDead(root xmas.Op, schemas xmas.Schemas) (xmas.Op, bool) {
 	td, ok := root.(*xmas.TD)
 	if !ok {
 		return root, false
 	}
-	live := map[xmas.Var]bool{td.V: true}
-	in, changed := elim(td.In, live)
+	e := &eliminator{schemas: schemas}
+	in, changed := e.elim(td.In, e.addVars(nil, td.V))
 	if !changed {
 		return root, false
 	}
 	return td.WithInputs(in), true
 }
 
-func addVars(live map[xmas.Var]bool, vars ...xmas.Var) map[xmas.Var]bool {
-	out := map[xmas.Var]bool{}
-	for v := range live {
-		out[v] = true
-	}
-	for _, v := range vars {
-		out[v] = true
-	}
-	return out
+// eliminator runs the analysis with the rewrite's schema memo. A live set
+// is a short list of distinct variables. Every set is new and never changes
+// once built, and all of them are cut from one arena, so a pass allocates a
+// few chunks instead of a set per operator.
+type eliminator struct {
+	schemas xmas.Schemas
+	arena   []xmas.Var
 }
 
-func without(live map[xmas.Var]bool, v xmas.Var) map[xmas.Var]bool {
-	out := map[xmas.Var]bool{}
-	for k := range live {
-		if k != v {
-			out[k] = true
+// set returns an empty set with room for n variables.
+func (e *eliminator) set(n int) []xmas.Var {
+	if cap(e.arena)-len(e.arena) < n {
+		e.arena = make([]xmas.Var, 0, max(256, n))
+	}
+	at := len(e.arena)
+	e.arena = e.arena[:at+n]
+	return e.arena[at : at : at+n]
+}
+
+func (e *eliminator) addVars(live []xmas.Var, vars ...xmas.Var) []xmas.Var {
+	out := append(e.set(len(live)+len(vars)), live...)
+	for _, v := range vars {
+		if !xmas.HasVar(out, v) {
+			out = append(out, v)
 		}
 	}
 	return out
 }
 
-func restrict(live map[xmas.Var]bool, schema []xmas.Var) map[xmas.Var]bool {
-	out := map[xmas.Var]bool{}
-	for _, v := range schema {
-		if live[v] {
-			out[v] = true
+func (e *eliminator) without(live []xmas.Var, v xmas.Var) []xmas.Var {
+	out := e.set(len(live))
+	for _, k := range live {
+		if k != v {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// restrict returns the variables of live that schema holds.
+func (e *eliminator) restrict(live, schema []xmas.Var) []xmas.Var {
+	out := e.set(len(live))
+	for _, v := range live {
+		if xmas.HasVar(schema, v) && !xmas.HasVar(out, v) {
+			out = append(out, v)
 		}
 	}
 	return out
@@ -53,35 +72,35 @@ func restrict(live map[xmas.Var]bool, schema []xmas.Var) map[xmas.Var]bool {
 
 // elim rebuilds op under the live set, dropping constructors whose outputs
 // are dead and converting existence-only joins to semi-joins.
-func elim(op xmas.Op, live map[xmas.Var]bool) (xmas.Op, bool) {
+func (e *eliminator) elim(op xmas.Op, live []xmas.Var) (xmas.Op, bool) {
 	switch o := op.(type) {
 	case *xmas.CrElt:
-		if !live[o.Out] {
-			in, _ := elim(o.In, live)
+		if !xmas.HasVar(live, o.Out) {
+			in, _ := e.elim(o.In, live)
 			return in, true
 		}
-		in, ch := elim(o.In, addVars(without(live, o.Out), append(append([]xmas.Var{}, o.GroupVars...), o.Children.V)...))
+		in, ch := e.elim(o.In, e.addVars(e.without(live, o.Out), xmas.AppendUsedVars(e.set(len(o.GroupVars)+1), o)...))
 		if !ch {
 			return op, false
 		}
 		return o.WithInputs(in), true
 	case *xmas.Cat:
-		if !live[o.Out] {
-			in, _ := elim(o.In, live)
+		if !xmas.HasVar(live, o.Out) {
+			in, _ := e.elim(o.In, live)
 			return in, true
 		}
-		in, ch := elim(o.In, addVars(without(live, o.Out), o.X.V, o.Y.V))
+		in, ch := e.elim(o.In, e.addVars(e.without(live, o.Out), o.X.V, o.Y.V))
 		if !ch {
 			return op, false
 		}
 		return o.WithInputs(in), true
 	case *xmas.Apply:
-		if !live[o.Out] {
-			in, _ := elim(o.In, live)
+		if !xmas.HasVar(live, o.Out) {
+			in, _ := e.elim(o.In, live)
 			return in, true
 		}
-		in, ch1 := elim(o.In, addVars(without(live, o.Out), o.InpVar))
-		plan, ch2 := elimNested(o.Plan)
+		in, ch1 := e.elim(o.In, e.addVars(e.without(live, o.Out), o.InpVar))
+		plan, ch2 := e.elimNested(o.Plan)
 		if !ch1 && !ch2 {
 			return op, false
 		}
@@ -90,15 +109,15 @@ func elim(op xmas.Op, live map[xmas.Var]bool) (xmas.Op, bool) {
 		c.Plan = plan
 		return &c, true
 	case *xmas.GroupBy:
-		if !live[o.Out] {
+		if !xmas.HasVar(live, o.Out) {
 			// Grouping whose partition is unused reduces to duplicate-
 			// eliminating projection on the keys.
-			in, _ := elim(o.In, addVarsEmpty(o.Keys))
+			in, _ := e.elim(o.In, e.addVars(nil, o.Keys...))
 			return &xmas.Project{In: in, Vars: append([]xmas.Var{}, o.Keys...)}, true
 		}
 		// The partition carries whole input tuples; every input variable
 		// stays live (nested plans may read any of them).
-		in, ch := elim(o.In, addVarsEmpty(o.In.Schema()))
+		in, ch := e.elim(o.In, e.addVars(nil, e.schemas.Of(o.In)...))
 		if !ch {
 			return op, false
 		}
@@ -106,25 +125,25 @@ func elim(op xmas.Op, live map[xmas.Var]bool) (xmas.Op, bool) {
 	case *xmas.GetD:
 		// getD filters tuples without matches, so it stays even when its
 		// output is dead.
-		in, ch := elim(o.In, addVars(without(live, o.Out), o.From))
+		in, ch := e.elim(o.In, e.addVars(e.without(live, o.Out), o.From))
 		if !ch {
 			return op, false
 		}
 		return o.WithInputs(in), true
 	case *xmas.Select:
-		in, ch := elim(o.In, addVars(live, o.Cond.Vars()...))
+		in, ch := e.elim(o.In, e.addVars(live, o.Cond.AppendVars(e.set(2))...))
 		if !ch {
 			return op, false
 		}
 		return o.WithInputs(in), true
 	case *xmas.Project:
-		in, ch := elim(o.In, addVarsEmpty(o.Vars))
+		in, ch := e.elim(o.In, e.addVars(nil, o.Vars...))
 		if !ch {
 			return op, false
 		}
 		return o.WithInputs(in), true
 	case *xmas.OrderBy:
-		in, ch := elim(o.In, addVars(live, o.Vars...))
+		in, ch := e.elim(o.In, e.addVars(live, o.Vars...))
 		if !ch {
 			return op, false
 		}
@@ -132,26 +151,26 @@ func elim(op xmas.Op, live map[xmas.Var]bool) (xmas.Op, bool) {
 	case *xmas.Join:
 		var condVars []xmas.Var
 		if o.Cond != nil {
-			condVars = o.Cond.Vars()
+			condVars = o.Cond.AppendVars(e.set(2))
 		}
-		lSchema, rSchema := o.L.Schema(), o.R.Schema()
-		lLive := restrict(live, lSchema)
-		rLive := restrict(live, rSchema)
+		lSchema, rSchema := e.schemas.Of(o.L), e.schemas.Of(o.R)
+		lLive := e.restrict(live, lSchema)
+		rLive := e.restrict(live, rSchema)
 		// Existence-only sides become semi-joins.
 		if o.Cond != nil {
 			if len(lLive) == 0 {
-				l, _ := elim(o.L, addVarsEmpty(condVarsIn(condVars, lSchema)))
-				r, _ := elim(o.R, addVars(rLive, condVarsIn(condVars, rSchema)...))
+				l, _ := e.elim(o.L, e.restrict(condVars, lSchema))
+				r, _ := e.elim(o.R, e.addVars(rLive, e.restrict(condVars, rSchema)...))
 				return &xmas.SemiJoin{L: l, R: r, Cond: o.Cond, Keep: xmas.KeepRight}, true
 			}
 			if len(rLive) == 0 {
-				l, _ := elim(o.L, addVars(lLive, condVarsIn(condVars, lSchema)...))
-				r, _ := elim(o.R, addVarsEmpty(condVarsIn(condVars, rSchema)))
+				l, _ := e.elim(o.L, e.addVars(lLive, e.restrict(condVars, lSchema)...))
+				r, _ := e.elim(o.R, e.restrict(condVars, rSchema))
 				return &xmas.SemiJoin{L: l, R: r, Cond: o.Cond, Keep: xmas.KeepLeft}, true
 			}
 		}
-		l, ch1 := elim(o.L, addVars(lLive, condVarsIn(condVars, lSchema)...))
-		r, ch2 := elim(o.R, addVars(rLive, condVarsIn(condVars, rSchema)...))
+		l, ch1 := e.elim(o.L, e.addVars(lLive, e.restrict(condVars, lSchema)...))
+		r, ch2 := e.elim(o.R, e.addVars(rLive, e.restrict(condVars, rSchema)...))
 		if !ch1 && !ch2 {
 			return op, false
 		}
@@ -159,19 +178,19 @@ func elim(op xmas.Op, live map[xmas.Var]bool) (xmas.Op, bool) {
 	case *xmas.SemiJoin:
 		var condVars []xmas.Var
 		if o.Cond != nil {
-			condVars = o.Cond.Vars()
+			condVars = o.Cond.AppendVars(e.set(2))
 		}
-		lSchema, rSchema := o.L.Schema(), o.R.Schema()
-		var lLive, rLive map[xmas.Var]bool
+		lSchema, rSchema := e.schemas.Of(o.L), e.schemas.Of(o.R)
+		var lLive, rLive []xmas.Var
 		if o.Keep == xmas.KeepLeft {
-			lLive = addVars(restrict(live, lSchema), condVarsIn(condVars, lSchema)...)
-			rLive = addVarsEmpty(condVarsIn(condVars, rSchema))
+			lLive = e.addVars(e.restrict(live, lSchema), e.restrict(condVars, lSchema)...)
+			rLive = e.restrict(condVars, rSchema)
 		} else {
-			lLive = addVarsEmpty(condVarsIn(condVars, lSchema))
-			rLive = addVars(restrict(live, rSchema), condVarsIn(condVars, rSchema)...)
+			lLive = e.restrict(condVars, lSchema)
+			rLive = e.addVars(e.restrict(live, rSchema), e.restrict(condVars, rSchema)...)
 		}
-		l, ch1 := elim(o.L, lLive)
-		r, ch2 := elim(o.R, rLive)
+		l, ch1 := e.elim(o.L, lLive)
+		r, ch2 := e.elim(o.R, rLive)
 		if !ch1 && !ch2 {
 			return op, false
 		}
@@ -180,7 +199,7 @@ func elim(op xmas.Op, live map[xmas.Var]bool) (xmas.Op, bool) {
 		if o.In == nil {
 			return op, false
 		}
-		in, ch := elimNested(o.In)
+		in, ch := e.elimNested(o.In)
 		if !ch {
 			return op, false
 		}
@@ -192,32 +211,14 @@ func elim(op xmas.Op, live map[xmas.Var]bool) (xmas.Op, bool) {
 }
 
 // elimNested runs the analysis on a tD-rooted (nested or view) plan.
-func elimNested(plan xmas.Op) (xmas.Op, bool) {
+func (e *eliminator) elimNested(plan xmas.Op) (xmas.Op, bool) {
 	td, ok := plan.(*xmas.TD)
 	if !ok {
 		return plan, false
 	}
-	in, ch := elim(td.In, map[xmas.Var]bool{td.V: true})
+	in, ch := e.elim(td.In, e.addVars(nil, td.V))
 	if !ch {
 		return plan, false
 	}
 	return td.WithInputs(in), true
-}
-
-func addVarsEmpty(vars []xmas.Var) map[xmas.Var]bool {
-	out := map[xmas.Var]bool{}
-	for _, v := range vars {
-		out[v] = true
-	}
-	return out
-}
-
-func condVarsIn(vars []xmas.Var, schema []xmas.Var) []xmas.Var {
-	var out []xmas.Var
-	for _, v := range vars {
-		if xmas.HasVar(schema, v) {
-			out = append(out, v)
-		}
-	}
-	return out
 }

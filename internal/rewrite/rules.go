@@ -10,8 +10,8 @@ import (
 // ruleEmptyProp collapses operators over provably empty inputs (the ∅ plans
 // rule 4 produces).
 func ruleEmptyProp(_ *state, op xmas.Op) (xmas.Op, map[xmas.Var]xmas.Var, bool) {
-	ins := op.Inputs()
-	if len(ins) == 0 {
+	ins, n := xmas.InputsOf(op)
+	if n == 0 {
 		return nil, nil, false
 	}
 	if _, isTD := op.(*xmas.TD); isTD {
@@ -21,7 +21,7 @@ func ruleEmptyProp(_ *state, op xmas.Op) (xmas.Op, map[xmas.Var]xmas.Var, bool) 
 		return nil, nil, false
 	}
 	anyEmpty := false
-	for _, in := range ins {
+	for _, in := range ins[:n] {
 		if _, ok := in.(*xmas.Empty); ok {
 			anyEmpty = true
 			break
@@ -183,8 +183,9 @@ func ruleApplyUnfold(st *state, op xmas.Op) (xmas.Op, map[xmas.Var]xmas.Var, boo
 	p1 := gb.In
 
 	// Build the primed copy: P1' with the nested body inlined over it.
-	body := xmas.Clone(td.In)
-	inlined, ok := replaceNestedSrc(body, a.InpVar, xmas.Clone(p1))
+	// Priming renames every variable the copy binds, which rebuilds each of
+	// its nodes that binds or reads one: the copy shares no such node with p1.
+	inlined, ok := replaceNestedSrc(td.In, a.InpVar, p1)
 	if !ok {
 		return nil, nil, false
 	}
@@ -231,24 +232,13 @@ func replaceNestedSrc(op xmas.Op, v xmas.Var, repl xmas.Op) (xmas.Op, bool) {
 	if ns, ok := op.(*xmas.NestedSrc); ok && ns.V == v {
 		return repl, true
 	}
-	ins := op.Inputs()
-	replaced := false
-	newIns := make([]xmas.Op, len(ins))
-	for i, in := range ins {
-		if replaced {
-			newIns[i] = in
-			continue
+	ins, n := xmas.InputsOf(op)
+	for i, in := range ins[:n] {
+		if sub, ok := replaceNestedSrc(in, v, repl); ok {
+			return xmas.WithInput(op, i, sub), true
 		}
-		sub, ok := replaceNestedSrc(in, v, repl)
-		if ok {
-			replaced = true
-		}
-		newIns[i] = sub
 	}
-	if !replaced {
-		return op, false
-	}
-	return op.WithInputs(newIns...), true
+	return op, false
 }
 
 // ---- schema-aware unsatisfiability ----
@@ -307,7 +297,7 @@ func makeSchemaUnsat(hints map[string][]string) func(*state, xmas.Op) (xmas.Op, 
 // its start variable nor regroups tuples (Table 2 rows 5-6 generalized):
 // crElt, cat, apply, select, orderBy, and — into the proper branch — join
 // and semi-join.
-func ruleGetDPushdown(_ *state, op xmas.Op) (xmas.Op, map[xmas.Var]xmas.Var, bool) {
+func ruleGetDPushdown(st *state, op xmas.Op) (xmas.Op, map[xmas.Var]xmas.Var, bool) {
 	g, ok := op.(*xmas.GetD)
 	if !ok {
 		return nil, nil, false
@@ -334,10 +324,10 @@ func ruleGetDPushdown(_ *state, op xmas.Op) (xmas.Op, map[xmas.Var]xmas.Var, boo
 	case *xmas.OrderBy:
 		return u.WithInputs(&xmas.GetD{In: u.In, From: g.From, Path: g.Path, Out: g.Out}), nil, true
 	case *xmas.Join:
-		if xmas.HasVar(u.L.Schema(), g.From) {
+		if xmas.HasVar(st.schema(u.L), g.From) {
 			return u.WithInputs(&xmas.GetD{In: u.L, From: g.From, Path: g.Path, Out: g.Out}, u.R), nil, true
 		}
-		if xmas.HasVar(u.R.Schema(), g.From) {
+		if xmas.HasVar(st.schema(u.R), g.From) {
 			return u.WithInputs(u.L, &xmas.GetD{In: u.R, From: g.From, Path: g.Path, Out: g.Out}), nil, true
 		}
 	case *xmas.SemiJoin:
@@ -345,7 +335,7 @@ func ruleGetDPushdown(_ *state, op xmas.Op) (xmas.Op, map[xmas.Var]xmas.Var, boo
 		if u.Keep == xmas.KeepRight {
 			keep = u.R
 		}
-		if !xmas.HasVar(keep.Schema(), g.From) {
+		if !xmas.HasVar(st.schema(keep), g.From) {
 			return nil, nil, false
 		}
 		inner := &xmas.GetD{In: keep, From: g.From, Path: g.Path, Out: g.Out}
@@ -361,12 +351,13 @@ func ruleGetDPushdown(_ *state, op xmas.Op) (xmas.Op, map[xmas.Var]xmas.Var, boo
 // define its variables, through group-by when it only touches group keys,
 // and into the matching branch of joins and semi-joins — "pushing selections
 // down" (paper Section 1).
-func ruleSelectPushdown(_ *state, op xmas.Op) (xmas.Op, map[xmas.Var]xmas.Var, bool) {
+func ruleSelectPushdown(st *state, op xmas.Op) (xmas.Op, map[xmas.Var]xmas.Var, bool) {
 	s, ok := op.(*xmas.Select)
 	if !ok {
 		return nil, nil, false
 	}
-	vars := s.Cond.Vars()
+	var buf [2]xmas.Var
+	vars := s.Cond.AppendVars(buf[:0])
 	allIn := func(schema []xmas.Var) bool {
 		for _, v := range vars {
 			if !xmas.HasVar(schema, v) {
@@ -406,10 +397,10 @@ func ruleSelectPushdown(_ *state, op xmas.Op) (xmas.Op, map[xmas.Var]xmas.Var, b
 			return u.WithInputs(&xmas.Select{In: u.In, Cond: s.Cond}), nil, true
 		}
 	case *xmas.Join:
-		if allIn(u.L.Schema()) {
+		if allIn(st.schema(u.L)) {
 			return u.WithInputs(&xmas.Select{In: u.L, Cond: s.Cond}, u.R), nil, true
 		}
-		if allIn(u.R.Schema()) {
+		if allIn(st.schema(u.R)) {
 			return u.WithInputs(u.L, &xmas.Select{In: u.R, Cond: s.Cond}), nil, true
 		}
 	case *xmas.SemiJoin:
@@ -417,7 +408,7 @@ func ruleSelectPushdown(_ *state, op xmas.Op) (xmas.Op, map[xmas.Var]xmas.Var, b
 		if u.Keep == xmas.KeepRight {
 			keep = u.R
 		}
-		if allIn(keep.Schema()) {
+		if allIn(st.schema(keep)) {
 			inner := &xmas.Select{In: keep, Cond: s.Cond}
 			if u.Keep == xmas.KeepRight {
 				return u.WithInputs(u.L, inner), nil, true
@@ -443,7 +434,7 @@ func refsAny(vars []xmas.Var, v xmas.Var) bool {
 // keys below the apply/gBy pair on its kept side (Table 2 rule 12), so it
 // can reach — and be shipped to — the sources instead of being evaluated at
 // the mediator.
-func ruleSemijoinPush(_ *state, op xmas.Op) (xmas.Op, map[xmas.Var]xmas.Var, bool) {
+func ruleSemijoinPush(st *state, op xmas.Op) (xmas.Op, map[xmas.Var]xmas.Var, bool) {
 	sj, ok := op.(*xmas.SemiJoin)
 	if !ok || sj.Cond == nil {
 		return nil, nil, false
@@ -454,7 +445,7 @@ func ruleSemijoinPush(_ *state, op xmas.Op) (xmas.Op, map[xmas.Var]xmas.Var, boo
 	}
 	// Identify the condition variable living on the kept side.
 	var keepVar xmas.Var
-	ks := keep.Schema()
+	ks := st.schema(keep)
 	if !sj.Cond.Left.IsConst && xmas.HasVar(ks, sj.Cond.Left.V) {
 		keepVar = sj.Cond.Left.V
 	} else if !sj.Cond.Right.IsConst && xmas.HasVar(ks, sj.Cond.Right.V) {
@@ -462,7 +453,7 @@ func ruleSemijoinPush(_ *state, op xmas.Op) (xmas.Op, map[xmas.Var]xmas.Var, boo
 	} else {
 		return nil, nil, false
 	}
-	rebuilt, ok := pushSemiJoinThrough(sj, keep, keepVar)
+	rebuilt, ok := pushSemiJoinThrough(st, sj, keep, keepVar)
 	if !ok {
 		return nil, nil, false
 	}
@@ -474,7 +465,7 @@ func ruleSemijoinPush(_ *state, op xmas.Op) (xmas.Op, map[xmas.Var]xmas.Var, boo
 // constructors and filters, so the semi-join ends up adjacent to the source
 // subplan where sqlgen can ship it (Figure 22's single self-join query).
 // It reports success only when at least one operator was crossed.
-func pushSemiJoinThrough(sj *xmas.SemiJoin, keep xmas.Op, keepVar xmas.Var) (xmas.Op, bool) {
+func pushSemiJoinThrough(st *state, sj *xmas.SemiJoin, keep xmas.Op, keepVar xmas.Var) (xmas.Op, bool) {
 	reroot := func(below xmas.Op) xmas.Op {
 		if sj.Keep == xmas.KeepRight {
 			return &xmas.SemiJoin{L: sj.L, R: below, Cond: sj.Cond, Keep: sj.Keep}
@@ -486,22 +477,22 @@ func pushSemiJoinThrough(sj *xmas.SemiJoin, keep xmas.Op, keepVar xmas.Var) (xma
 	// below semi-joins, so also moving semi-joins below selections would
 	// ping-pong forever.
 	case *xmas.Apply, *xmas.CrElt, *xmas.Cat, *xmas.OrderBy:
-		in := keep.Inputs()[0]
+		in, _ := xmas.InputsOf(keep)
 		// The crossed operator must not define the semi-join's probe
 		// variable (it cannot: defined vars are fresh outputs), and the
 		// variable must come from below.
-		if !xmas.HasVar(in.Schema(), keepVar) {
+		if !xmas.HasVar(st.schema(in[0]), keepVar) {
 			return nil, false
 		}
-		if inner, ok := pushSemiJoinThrough(sj, in, keepVar); ok {
+		if inner, ok := pushSemiJoinThrough(st, sj, in[0], keepVar); ok {
 			return keep.WithInputs(inner), true
 		}
-		return keep.WithInputs(reroot(in)), true
+		return keep.WithInputs(reroot(in[0])), true
 	case *xmas.GroupBy:
 		if !xmas.HasVar(u.Keys, keepVar) {
 			return nil, false
 		}
-		if inner, ok := pushSemiJoinThrough(sj, u.In, keepVar); ok {
+		if inner, ok := pushSemiJoinThrough(st, sj, u.In, keepVar); ok {
 			return u.WithInputs(inner), true
 		}
 		return u.WithInputs(reroot(u.In)), true

@@ -35,13 +35,17 @@ import (
 // in. That is also the order of the unpushed wrapper scans — insertion order
 // — exactly when the relations were inserted in strictly ascending key
 // order; sqlexec then finds the ORDER BY already satisfied and does not sort.
-// The input plan is not mutated.
+// The input plan is not mutated; the result shares every subtree Push did not
+// change with it. In debug mode (xmas.SetDebug, MIXDEBUG env) the result is
+// validated here; otherwise engine.Compile verifies it.
 func Push(plan xmas.Op, cat *source.Catalog) (xmas.Op, error) {
-	out := pushWalk(xmas.Clone(plan), cat)
+	out := pushWalk(plan, cat)
 	out = presortGroupBys(out)
 	out = defaultOrderBys(out)
-	if err := xmas.Validate(out); err != nil {
-		return nil, fmt.Errorf("sqlgen: produced invalid plan: %w", err)
+	if xmas.DebugEnabled() {
+		if err := xmas.Validate(out); err != nil {
+			return nil, fmt.Errorf("sqlgen: produced invalid plan: %w", err)
+		}
 	}
 	return out, nil
 }
@@ -78,16 +82,7 @@ func defaultOrderBys(op xmas.Op) xmas.Op {
 		c.SQL = sel.String()
 		return &c
 	}
-	ins := op.Inputs()
-	newIns := make([]xmas.Op, len(ins))
-	for i, in := range ins {
-		newIns[i] = defaultOrderBys(in)
-	}
-	out := op.WithInputs(newIns...)
-	if a, ok := out.(*xmas.Apply); ok {
-		a.Plan = defaultOrderBys(a.Plan)
-	}
-	return out
+	return xmas.MapInputs(op, defaultOrderBys)
 }
 
 // MustPush panics on error; fixtures and benchmarks.
@@ -102,19 +97,11 @@ func MustPush(plan xmas.Op, cat *source.Catalog) xmas.Op {
 // pushWalk rebuilds the plan top-down, converting the largest convertible
 // subtrees first.
 func pushWalk(op xmas.Op, cat *source.Catalog) xmas.Op {
-	if frag, ok := convert(op, cat, newAliasAllocator()); ok && frag.tableCount() > 0 {
+	var aliases aliasAllocator
+	if frag, ok := convert(op, cat, &aliases); ok && frag.tableCount() > 0 {
 		return frag.toRelQuery(op.Schema())
 	}
-	ins := op.Inputs()
-	newIns := make([]xmas.Op, len(ins))
-	for i, in := range ins {
-		newIns[i] = pushWalk(in, cat)
-	}
-	out := op.WithInputs(newIns...)
-	if a, ok := out.(*xmas.Apply); ok {
-		a.Plan = pushWalk(a.Plan, cat)
-	}
-	return out
+	return xmas.MapInputs(op, func(in xmas.Op) xmas.Op { return pushWalk(in, cat) })
 }
 
 // ---- conversion state ----
@@ -145,12 +132,14 @@ type frag struct {
 
 func (f *frag) tableCount() int { return len(f.from) }
 
+// aliasAllocator numbers table aliases per initial; the zero value is ready.
 type aliasAllocator struct{ counts map[string]int }
-
-func newAliasAllocator() *aliasAllocator { return &aliasAllocator{counts: map[string]int{}} }
 
 func (a *aliasAllocator) alloc(relation string) string {
 	prefix := relation[:1]
+	if a.counts == nil {
+		a.counts = map[string]int{}
+	}
 	a.counts[prefix]++
 	return fmt.Sprintf("%s%d", prefix, a.counts[prefix])
 }
@@ -449,15 +438,7 @@ func (f *frag) toRelQuery(schema []xmas.Var) xmas.Op {
 // implementation of Table 1 — reproducing Figure 22's
 // "ORDER BY c1.id, o1.orid".
 func presortGroupBys(op xmas.Op) xmas.Op {
-	ins := op.Inputs()
-	newIns := make([]xmas.Op, len(ins))
-	for i, in := range ins {
-		newIns[i] = presortGroupBys(in)
-	}
-	out := op.WithInputs(newIns...)
-	if a, ok := out.(*xmas.Apply); ok {
-		a.Plan = presortGroupBys(a.Plan)
-	}
+	out := xmas.MapInputs(op, presortGroupBys)
 	gb, ok := out.(*xmas.GroupBy)
 	if !ok || gb.Presorted {
 		return out
@@ -484,8 +465,8 @@ func findOrderPreservingRelQuery(op xmas.Op) (*xmas.RelQuery, func(xmas.Op) xmas
 	case *xmas.RelQuery:
 		return o, func(r xmas.Op) xmas.Op { return r }
 	case *xmas.Select, *xmas.CrElt, *xmas.Cat, *xmas.GetD, *xmas.Apply:
-		in := op.Inputs()[0]
-		rq, rebuild := findOrderPreservingRelQuery(in)
+		in, _ := xmas.InputsOf(op)
+		rq, rebuild := findOrderPreservingRelQuery(in[0])
 		if rq == nil {
 			return nil, nil
 		}
@@ -498,16 +479,14 @@ func findOrderPreservingRelQuery(op xmas.Op) (*xmas.RelQuery, func(xmas.Op) xmas
 		if o.Keep == xmas.KeepRight {
 			keepIdx = 1
 		}
-		rq, rebuild := findOrderPreservingRelQuery(op.Inputs()[keepIdx])
+		ins, _ := xmas.InputsOf(op)
+		rq, rebuild := findOrderPreservingRelQuery(ins[keepIdx])
 		if rq == nil {
 			return nil, nil
 		}
 		return rq, func(r xmas.Op) xmas.Op {
-			ins := op.Inputs()
-			newIns := make([]xmas.Op, len(ins))
-			copy(newIns, ins)
-			newIns[keepIdx] = rebuild(r)
-			return op.WithInputs(newIns...)
+			ins[keepIdx] = rebuild(r)
+			return op.WithInputs(ins[0], ins[1])
 		}
 	}
 	return nil, nil

@@ -35,7 +35,9 @@ type Result struct {
 }
 
 // Translate compiles q. resultRootID becomes the object id of the exported
-// result root (the paper uses "rootv" for the view).
+// result root (the paper uses "rootv" for the view). In debug mode
+// (xmas.SetDebug, MIXDEBUG env) the plan is validated here; otherwise the
+// rewriter validates it on entry and engine.Compile verifies it.
 func Translate(q *xquery.Query, resultRootID string) (*Result, error) {
 	t := &translator{
 		tags:  map[xmas.Var]string{},
@@ -46,8 +48,10 @@ func Translate(q *xquery.Query, resultRootID string) (*Result, error) {
 		return nil, err
 	}
 	plan := &xmas.TD{In: op, V: rootVar, RootID: resultRootID}
-	if err := xmas.Validate(plan); err != nil {
-		return nil, fmt.Errorf("translate: produced invalid plan: %w", err)
+	if xmas.DebugEnabled() {
+		if err := xmas.Validate(plan); err != nil {
+			return nil, fmt.Errorf("translate: produced invalid plan: %w", err)
+		}
 	}
 	return &Result{Plan: plan, RootVar: rootVar, Tags: t.tags}, nil
 }

@@ -44,15 +44,17 @@ func NewVarVarCond(v1 Var, op xtree.CmpOp, v2 Var) Cond {
 }
 
 // Vars returns the variables the condition references.
-func (c Cond) Vars() []Var {
-	var out []Var
+func (c Cond) Vars() []Var { return c.AppendVars(nil) }
+
+// AppendVars appends the variables the condition references to dst.
+func (c Cond) AppendVars(dst []Var) []Var {
 	if !c.Left.IsConst {
-		out = append(out, c.Left.V)
+		dst = append(dst, c.Left.V)
 	}
 	if !c.Right.IsConst {
-		out = append(out, c.Right.V)
+		dst = append(dst, c.Right.V)
 	}
-	return out
+	return dst
 }
 
 // IsIDSelection reports whether the condition fixes a variable to an object

@@ -30,7 +30,8 @@ func (e *VerifyError) Error() string {
 // nested-plan read; a plan that fails returns a *VerifyError instead of
 // compiling.
 func Verify(root Op) error {
-	if _, err := validate(root, true); err != nil {
+	var buf []Var
+	if _, err := validate(root, true, &buf); err != nil {
 		return &VerifyError{Rule: "well-formed", Msg: err.Error()}
 	}
 	if verr := verifyNestedSchemas(root); verr != nil {
@@ -97,11 +98,13 @@ func partitionSchema(op Op, v Var) (schema []Var, known bool) {
 // real producer over a nestedSrc re-export (mirrors the rewriter's findDef).
 func findDefiner(op Op, v Var) Op {
 	var real, nested Op
+	var buf []Var
 	Walk(op, func(x Op) bool {
 		if real != nil {
 			return false
 		}
-		for _, d := range DefinedVars(x) {
+		buf = AppendDefinedVars(buf[:0], x)
+		for _, d := range buf {
 			if d != v {
 				continue
 			}

@@ -6,7 +6,9 @@ import (
 
 	"mix/internal/compose"
 	"mix/internal/engine"
+	"mix/internal/qdom"
 	"mix/internal/rewrite"
+	"mix/internal/sqlgen"
 	"mix/internal/translate"
 	"mix/internal/workload"
 	"mix/internal/xmas"
@@ -247,15 +249,40 @@ func TestRewriteIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestRewriteDoesNotMutateInput guards the rewriter's functional contract.
+// TestRewriteDoesNotMutateInput guards the functional contract of every
+// planning stage: decontextualization, the rewriter and SQL generation build
+// new nodes and share the rest, so each must leave the plans it was handed
+// exactly as they were.
 func TestRewriteDoesNotMutateInput(t *testing.T) {
-	naive := naiveFig13(t)
-	before := xmas.Format(naive)
-	if _, _, err := rewrite.Optimize(naive, rewrite.Options{}); err != nil {
+	view := translate.MustTranslate(xquery.MustParse(workload.Q1), "rootv")
+	origin := &compose.OriginPlan{Plan: view.Plan, Tags: view.Tags}
+	viewBefore := xmas.Format(view.Plan)
+	composed, err := compose.Decontextualize(origin, qdom.Context{FromRoot: true}, xquery.MustParse(workload.Fig12), "rootv", "res")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if after := xmas.Format(naive); after != before {
-		t.Fatal("Optimize mutated its input plan")
+	if after := xmas.Format(view.Plan); after != viewBefore {
+		t.Fatal("Decontextualize mutated the view plan")
+	}
+
+	naive := naiveFig13(t)
+	for name, plan := range map[string]xmas.Op{"naive": naive, "decontextualized": composed.Plan} {
+		before := xmas.Format(plan)
+		opt, _, err := rewrite.Optimize(plan, rewrite.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after := xmas.Format(plan); after != before {
+			t.Fatalf("Optimize mutated its %s input plan", name)
+		}
+		cat, _ := workload.PaperCatalog()
+		optBefore := xmas.Format(opt)
+		if _, err := sqlgen.Push(opt, cat); err != nil {
+			t.Fatal(err)
+		}
+		if after := xmas.Format(opt); after != optBefore {
+			t.Fatalf("sqlgen.Push mutated the rewritten %s plan", name)
+		}
 	}
 }
 

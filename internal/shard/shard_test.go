@@ -126,6 +126,49 @@ func TestSpecParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpecShardCountFitsHash: ShardOf reduces a 32-bit hash modulo N, so a
+// hash spec with more shards than that rejects, instead of wrapping N to
+// zero (a divide-by-zero panic) or to a smaller count (keys on the wrong
+// shard).
+func TestSpecShardCountFitsHash(t *testing.T) {
+	for _, text := range []string{"hash:4294967296@customer.id", "hash:4294967297", "hash:9223372036854775807"} {
+		if s, err := shard.ParseSpec(text); err == nil {
+			t.Fatalf("ParseSpec(%q) = %v, want an error", text, s)
+		}
+	}
+	s, err := shard.ParseSpec("hash:4294967295")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.ShardOf("C000042"); got < 0 || got >= s.Shards() {
+		t.Fatalf("ShardOf = %d, want in [0, %d)", got, s.Shards())
+	}
+}
+
+// FuzzParseSpec: a spec ParseSpec accepts prints back to text that parses
+// to an equal spec, and ShardOf maps any key into [0, Shards()).
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{"hash:3", "range:C000400,C000800", "hash:4@CustRec.customer.id", "hash:+7", "range:a:b@x"} {
+		f.Add(seed, "C000042")
+	}
+	f.Fuzz(func(t *testing.T, text, key string) {
+		s, err := shard.ParseSpec(text)
+		if err != nil {
+			return
+		}
+		back, err := shard.ParseSpec(s.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) = %+v prints as %q, which does not parse: %v", text, s, s.String(), err)
+		}
+		if !reflect.DeepEqual(back, s) {
+			t.Fatalf("ParseSpec(%q) = %+v prints as %q, which parses to %+v", text, s, s.String(), back)
+		}
+		if got := s.ShardOf(key); got < 0 || got >= s.Shards() {
+			t.Fatalf("%v: ShardOf(%q) = %d, want in [0, %d)", s, key, got, s.Shards())
+		}
+	})
+}
+
 func TestShardOf(t *testing.T) {
 	r := shard.Spec{Mode: shard.ModeRange, Bounds: []string{"C000400", "C000800"}}
 	for key, want := range map[string]int{"C000000": 0, "C000399": 0, "C000400": 1, "C000799": 1, "C000800": 2, "D": 2} {

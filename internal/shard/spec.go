@@ -11,6 +11,7 @@ package shard
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -66,8 +67,9 @@ func (s Spec) Shards() int {
 func (s Spec) Validate() error {
 	switch s.Mode {
 	case ModeHash:
-		if s.N < 1 {
-			return fmt.Errorf("shard: hash spec needs N >= 1, got %d", s.N)
+		// ShardOf reduces a 32-bit hash modulo N, so N must fit in 32 bits.
+		if s.N < 1 || uint64(s.N) > math.MaxUint32 {
+			return fmt.Errorf("shard: hash spec needs 1 <= N <= %d, got %d", uint64(math.MaxUint32), s.N)
 		}
 	case ModeRange:
 		if len(s.Bounds) == 0 {

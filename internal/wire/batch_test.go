@@ -361,3 +361,42 @@ func TestRemoteDocScanOptsTable(t *testing.T) {
 		}
 	}
 }
+
+// TestRemoteCursorFirstTupleOneTrip: a remote scan hands a child over as
+// soon as it has it and steps past it only when asked for the next one. So
+// with prefetch off the first Next costs just the one children batch the
+// open fetched, not also the second batch behind it. A scan closed after
+// its first tuple still releases every handle it held.
+func TestRemoteCursorFirstTupleOneTrip(t *testing.T) {
+	var srv *wire.Server
+	c := dialFlat(t, flatMediator(t, 40), func(s *wire.Server) { srv = s }, wire.ClientConfig{})
+	root, err := c.Open("flatv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.WireStats()
+	cur, err := wire.NewRemoteDoc("&remote", root).Open(source.ScanOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := cur.Next(); err != nil || !ok {
+		t.Fatalf("first Next = %v, %v", ok, err)
+	}
+	st := c.WireStats()
+	if trips := st.RequestsSent - before.RequestsSent; trips != 1 {
+		t.Fatalf("open and first Next took %d round trips, want 1", trips)
+	}
+	if batches := st.BatchesFetched - before.BatchesFetched; batches != 1 {
+		t.Fatalf("open and first Next fetched %d children batches, want 1", batches)
+	}
+	cur.Close()
+	if err := root.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Ping(); err != nil { // carries the piggybacked releases
+		t.Fatal(err)
+	}
+	if n := srv.LiveHandles(); n != 0 {
+		t.Fatalf("%d server handles live after the scan closed", n)
+	}
+}

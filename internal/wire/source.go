@@ -104,10 +104,26 @@ func (d *RemoteDoc) Open(opts source.ScanOpts) (source.ElemCursor, error) {
 
 type remoteCursor struct {
 	src  string
-	next *RemoteNode
+	next *RemoteNode // the child Next returns, once last has stepped to it
+	last *RemoteNode // the child Next returned last; nil before the first
 }
 
+// Next hands over the current child as soon as it has it. It steps right
+// from the child it returned before at the start of the next call, not
+// before returning: a step can wait for the next batch, and the first tuple
+// of a scan must not wait for the second batch behind it.
 func (c *remoteCursor) Next() (*xtree.Node, bool, error) {
+	if c.last != nil {
+		next, err := c.last.Right()
+		if err != nil {
+			return nil, false, c.unavailable(err)
+		}
+		// The consumed child's handle is no longer needed; release it so
+		// the server session's handle table stays bounded during long
+		// scans.
+		_ = c.last.Release()
+		c.last, c.next = nil, next
+	}
 	if c.next == nil {
 		return nil, false, nil
 	}
@@ -127,13 +143,7 @@ func (c *remoteCursor) Next() (*xtree.Node, bool, error) {
 	}
 	// Preserve the remote object id on the subtree root itself.
 	n.ID = xtree.ID(cur.ID())
-	c.next, err = cur.Right()
-	if err != nil {
-		return nil, false, c.unavailable(err)
-	}
-	// The consumed child's handle is no longer needed; release it so the
-	// server session's handle table stays bounded during long scans.
-	_ = cur.Release()
+	c.next, c.last = nil, cur
 	return n, true, nil
 }
 
@@ -141,15 +151,21 @@ func (c *remoteCursor) unavailable(err error) error {
 	return &source.SourceUnavailableError{Source: c.src, Err: err}
 }
 
-// Close releases the cursor's outstanding server-side handle and abandons
-// any read-ahead its batch window holds (undelivered frames are queued for
+// Close releases the cursor's outstanding server-side handle — the child
+// Next returned last, or the one it would return next — and abandons any
+// read-ahead its batch window holds (undelivered frames are queued for
 // piggybacked release, so partial scans leak no handles).
 func (c *remoteCursor) Close() {
-	if c.next != nil {
-		if c.next.win != nil {
-			c.next.win.abandon()
-		}
-		_ = c.next.Release()
-		c.next = nil
+	held := c.next
+	if held == nil {
+		held = c.last
 	}
+	c.next, c.last = nil, nil
+	if held == nil {
+		return
+	}
+	if held.win != nil {
+		held.win.abandon()
+	}
+	_ = held.Release()
 }

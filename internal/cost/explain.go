@@ -42,7 +42,8 @@ func writeCosted(b *strings.Builder, op xmas.Op, depth int, est *Estimator) {
 		b.WriteString("p:\n")
 		writeCosted(b, a.Plan, depth+2, est)
 	}
-	for _, in := range op.Inputs() {
+	ins, n := xmas.InputsOf(op)
+	for _, in := range ins[:n] {
 		writeCosted(b, in, depth+1, est)
 	}
 }

@@ -128,7 +128,8 @@ func joinRegions(root xmas.Op) []xmas.Op {
 		if a, ok := op.(*xmas.Apply); ok {
 			visit(a.Plan, false)
 		}
-		for _, in := range op.Inputs() {
+		ins, n := xmas.InputsOf(op)
+		for _, in := range ins[:n] {
 			visit(in, false)
 		}
 	}
@@ -413,28 +414,5 @@ func substitute(root, target, repl xmas.Op) xmas.Op {
 	if root == target {
 		return repl
 	}
-	ins := root.Inputs()
-	changed := false
-	newIns := make([]xmas.Op, len(ins))
-	for i, in := range ins {
-		newIns[i] = substitute(in, target, repl)
-		if newIns[i] != in {
-			changed = true
-		}
-	}
-	var newPlan xmas.Op
-	if a, ok := root.(*xmas.Apply); ok {
-		newPlan = substitute(a.Plan, target, repl)
-		if newPlan != a.Plan {
-			changed = true
-		}
-	}
-	if !changed {
-		return root
-	}
-	out := root.WithInputs(newIns...)
-	if a, ok := out.(*xmas.Apply); ok && newPlan != nil {
-		a.Plan = newPlan
-	}
-	return out
+	return xmas.MapInputs(root, func(in xmas.Op) xmas.Op { return substitute(in, target, repl) })
 }

@@ -9,9 +9,8 @@ import (
 	"mix/internal/xmas"
 )
 
-// Cache memoizes Optimize. Rewriting runs the Table 2 rule set to a
-// fixpoint plus a final xmas.Verify, which the mediator pays on every
-// planned query; browse-style sessions re-plan the same handful of query
+// Cache memoizes Optimize. Rewriting validates the plan and runs the Table 2
+// rule set to a fixpoint, which the mediator pays on every planned query; browse-style sessions re-plan the same handful of query
 // shapes constantly. Keys are the canonical plan text (xmas.CanonicalKey —
 // the per-query result root id is normalized away; translate and compose
 // generate variables deterministically, so equal query text means equal

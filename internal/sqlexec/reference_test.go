@@ -194,7 +194,8 @@ func relQueries(op xmas.Op, into *[]string) {
 	if rq, ok := op.(*xmas.RelQuery); ok {
 		*into = append(*into, rq.SQL)
 	}
-	for _, in := range op.Inputs() {
+	ins, n := xmas.InputsOf(op)
+	for _, in := range ins[:n] {
 		relQueries(in, into)
 	}
 	if a, ok := op.(*xmas.Apply); ok {

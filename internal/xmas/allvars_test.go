@@ -19,10 +19,10 @@ import (
 func allVarsBySchema(op xmas.Op) map[xmas.Var]bool {
 	out := map[xmas.Var]bool{}
 	xmas.Walk(op, func(x xmas.Op) bool {
-		for _, v := range xmas.DefinedVars(x) {
+		for _, v := range xmas.AppendDefinedVars(nil, x) {
 			out[v] = true
 		}
-		for _, v := range xmas.UsedVars(x) {
+		for _, v := range xmas.AppendUsedVars(nil, x) {
 			out[v] = true
 		}
 		for _, v := range x.Schema() {

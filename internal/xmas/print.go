@@ -33,7 +33,8 @@ func writeOp(b *strings.Builder, op Op, depth int) {
 		b.WriteString("p:\n")
 		writeOp(b, a.Plan, depth+2)
 	}
-	for _, in := range op.Inputs() {
+	ins, n := InputsOf(op)
+	for _, in := range ins[:n] {
 		writeOp(b, in, depth+1)
 	}
 }

@@ -261,7 +261,7 @@ func TestMkSrcWithViewInput(t *testing.T) {
 	if err := Validate(top); err != nil {
 		t.Fatalf("naive composition form rejected: %v", err)
 	}
-	if len(m.Inputs()) != 1 {
+	if _, n := InputsOf(m); n != 1 {
 		t.Fatal("mkSrc with input must report it")
 	}
 	bad := &TD{In: &MkSrc{SrcID: "v", Out: "$B", In: &MkSrc{SrcID: "&d", Out: "$A"}}, V: "$B"}

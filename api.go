@@ -38,7 +38,7 @@ type Stats = relstore.Stats
 type Tree = xtree.Node
 
 // Metrics counts per-operator mediator work during one execution (see
-// Mediator.QueryWithMetrics).
+// Plan.RunWithMetrics).
 type Metrics = engine.Metrics
 
 // Column type constants.

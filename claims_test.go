@@ -241,7 +241,11 @@ RETURN $R`
 			{"no-rewrite", mix.Config{DisableRewrite: true, DisablePushdown: true}},
 		} {
 			med := claimsMediator(t, 1000, 3, v.cfg)
-			doc, metrics, err := med.QueryWithMetrics(query)
+			p, err := med.Prepare(query, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc, metrics, err := p.RunWithMetrics()
 			results := mustDrain(t, doc, err)
 			rows = append(rows, []any{v.name, med.Stats().TuplesShipped, metrics.Total(), results})
 		}

@@ -82,10 +82,11 @@ func main() {
 		fail(err)
 	}
 
-	query := readQuery()
-
-	if *trace {
-		steps, executable, err := med.ExplainTrace(query)
+	p, err := med.Prepare(readQuery(), nil)
+	fail(err)
+	switch {
+	case *trace:
+		steps, executable, err := p.Trace()
 		fail(err)
 		for _, s := range steps {
 			fmt.Printf("-- %s --\n%s\n", s.Rule, s.Plan)
@@ -93,17 +94,12 @@ func main() {
 		fmt.Println("-- final executable plan --")
 		fmt.Println(executable)
 		return
-	}
-	if *costExp {
-		explained, err := med.ExplainCost(query)
-		fail(err)
+	case *costExp:
 		fmt.Println("-- costed executable plan --")
-		fmt.Println(explained)
+		fmt.Println(p.ExplainCost())
 		return
-	}
-	if *plan {
-		optimized, executable, err := med.Explain(query)
-		fail(err)
+	case *plan:
+		optimized, executable := p.Explain()
 		fmt.Println("-- optimized plan --")
 		fmt.Println(optimized)
 		fmt.Println("-- executable plan --")
@@ -114,12 +110,11 @@ func main() {
 	var (
 		doc *mix.Document
 		m   *mix.Metrics
-		err error
 	)
 	if *metrics {
-		doc, m, err = med.QueryWithMetrics(query)
+		doc, m, err = p.RunWithMetrics()
 	} else {
-		doc, err = med.Query(query)
+		doc, err = p.Run()
 	}
 	fail(err)
 	tree := doc.Materialize()
@@ -228,15 +223,15 @@ func runFleet(addrs []string, specStr string, stats, asXML bool, query string) {
 	if stats {
 		st := d.Stats()
 		fmt.Fprintf(os.Stderr, "-- fleet: %d scan(s), %d pruned\n", st.Scans, st.Pruned)
-		ws := med.WireStats()
-		health := med.ShardHealth()["&fleet"]
+		report := med.HealthReport()
+		health := report.Shards["&fleet"]
 		ids := make([]string, 0, len(members))
 		for _, m := range members {
 			ids = append(ids, m.ID)
 		}
 		sort.Strings(ids)
 		for _, id := range ids {
-			w := ws["&fleet/"+id]
+			w := report.Wire["&fleet/"+id]
 			state := w.Breaker
 			if h, ok := health[id]; ok && h.State != "" && h.State != state {
 				state = h.State

@@ -98,11 +98,12 @@ func TestPredictedVsObservedRoundTrips(t *testing.T) {
 	for _, fq := range federatedQueries {
 		t.Run(fq.name, func(t *testing.T) {
 			med := supplyMediator(t, mix.Config{CostOpt: true})
-			est, err := med.PredictCost(fq.query)
+			p, err := med.Prepare(fq.query, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			doc, err := med.Query(fq.query)
+			est := p.Cost()
+			doc, err := p.Run()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -91,17 +91,19 @@ RETURN $O`)
 	// O1
 }
 
-// ExampleMediator_Explain shows plan inspection without execution.
-func ExampleMediator_Explain() {
+// ExamplePlan_Explain shows plan inspection without execution: Prepare
+// plans the query, and nothing ships until the plan runs.
+func ExamplePlan_Explain() {
 	med := mix.New()
 	med.AddRelationalSource(buildShop())
-	_, exec, err := med.Explain(`
+	p, err := med.Prepare(`
 FOR $C IN document(&shop.customer)/customer
 WHERE $C/addr = "LA"
-RETURN $C`)
+RETURN $C`, nil)
 	if err != nil {
 		panic(err)
 	}
+	_, exec := p.Explain()
 	fmt.Println(exec)
 	// Output:
 	// tD($C, result1)

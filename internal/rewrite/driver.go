@@ -61,8 +61,8 @@ func Optimize(plan xmas.Op, opts Options) (xmas.Op, []Step, error) {
 }
 
 // OptimizeTraced is Optimize that also renders the whole plan into every
-// Step (Mediator.ExplainTrace, the Figure 13→21 walk-through). The rules
-// fired and the plan returned are the same as Optimize's.
+// Step (mix's Plan.Trace, the Figure 13→21 walk-through). The rules fired
+// and the plan returned are the same as Optimize's.
 func OptimizeTraced(plan xmas.Op, opts Options) (xmas.Op, []Step, error) {
 	return optimize(plan, opts, true)
 }

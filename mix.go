@@ -6,12 +6,16 @@
 //	med := mix.New()
 //	med.AddRelationalSource(db)
 //	med.DefineView("rootv", `FOR $C IN document(&db1.customer)/customer ... RETURN ...`)
-//	doc, _ := med.Query(`FOR $R IN document(rootv)/CustRec WHERE ... RETURN $R`)
+//	p, _ := med.Prepare(`FOR $R IN document(rootv)/CustRec WHERE ... RETURN $R`, nil)
+//	_, sql := p.Explain()             // read the plan; nothing has shipped
+//	doc, _ := p.Run()                 // or med.Query(...): Prepare, then Run
 //	n := doc.Root().Down()            // navigate: d, r, fl, fv
 //	sub, _ := med.QueryFrom(n, `FOR $O IN document(root)/OrderInfo WHERE ... RETURN $O`)
 //
 // Queries are the XQuery subset of the paper's Figure 4 (FOR/WHERE/RETURN
-// with group-by lists). Results are virtual: source data is fetched only as
+// with group-by lists). A query is a value: Prepare plans it once into a
+// Plan, which runs any number of times and explains itself without
+// planning again. Results are virtual: source data is fetched only as
 // navigation demands it, and an in-place query issued from a visited node is
 // decontextualized into source queries rather than evaluated on materialized
 // data.
@@ -148,12 +152,16 @@ type Mediator struct {
 	sessionStats func() SessionStats
 }
 
-// View is a named virtual XML view over the sources.
-type View struct {
-	// Name is the document id clients use: document(<name>).
+// Plan is a query planned once and not yet run: what Prepare returns, and
+// what a View keeps by name. Run starts an execution of it, as often as
+// wanted, each an independent document; Explain, ExplainCost, Cost and Trace
+// report on it without planning again or contacting a source. A Plan is
+// never modified after planning, so one Plan may be shared across
+// goroutines; its fields are for reading.
+type Plan struct {
+	// Name is the id of the answer's root element: the view name for a
+	// view, a fresh result id for a query.
 	Name string
-	// Query is the view definition.
-	Query *xquery.Query
 	// ComposePlan is the optimized plan before SQL generation; in-place
 	// queries compose against it (its crElt structure drives Table 2).
 	ComposePlan xmas.Op
@@ -162,6 +170,27 @@ type View struct {
 	ExecPlan xmas.Op
 	// Tags maps variables to element labels, as decontextualization needs.
 	Tags map[xmas.Var]string
+
+	m     *Mediator
+	query *xquery.Query
+	// view is the view a query from the root composed with, if any; Trace
+	// unfolds it naively.
+	view *View
+	// input is the translated or composed plan the rewriter started from.
+	input xmas.Op
+	// reordered is the join order cost.Reorder chose, before SQL
+	// generation; nil when it kept the syntactic order.
+	reordered xmas.Op
+	// nav pins the engine's window at one row: a view's plan runs as a
+	// navigation session (see Open).
+	nav bool
+}
+
+// View is a named virtual XML view over the sources: the Plan of its
+// definition, kept under its name. Its Name is the document id clients use:
+// document(<name>).
+type View struct {
+	*Plan
 }
 
 // New creates a mediator with default configuration.
@@ -239,21 +268,15 @@ func (m *Mediator) AliasSource(alias, target string) error {
 }
 
 // DefineView registers a virtual view. Client queries may then range over
-// document(<name>). The definition is translated and optimized once.
+// document(<name>). The definition is planned once, like a query with the
+// view name as its root id; a definition over another view composes with it.
 func (m *Mediator) DefineView(name, query string) (*View, error) {
-	q, err := xquery.Parse(query)
+	p, err := m.plan(query, nil, name, false)
 	if err != nil {
 		return nil, fmt.Errorf("mix: view %s: %w", name, err)
 	}
-	tr, err := translate.Translate(q, name)
-	if err != nil {
-		return nil, fmt.Errorf("mix: view %s: %w", name, err)
-	}
-	composePlan, execPlan, err := m.optimize(tr.Plan)
-	if err != nil {
-		return nil, fmt.Errorf("mix: view %s: %w", name, err)
-	}
-	v := &View{Name: name, Query: q, ComposePlan: composePlan, ExecPlan: execPlan, Tags: tr.Tags}
+	p.nav = true
+	v := &View{Plan: p}
 	m.views[name] = v
 	return v, nil
 }
@@ -264,291 +287,258 @@ func (m *Mediator) View(name string) (*View, bool) {
 	return v, ok
 }
 
-// optimize runs the rewriter and SQL generation per configuration and
-// returns (composable plan, executable plan).
-func (m *Mediator) optimize(plan xmas.Op) (composePlan, execPlan xmas.Op, err error) {
-	composePlan = plan
-	if !m.cfg.DisableRewrite {
-		opts := m.cfg.RewriteOptions
-		if opts.ChildLabels == nil {
-			opts.ChildLabels = m.childLabels
+// Prepare parses and plans a query without running it; the returned Plan
+// runs it. With from nil the query is issued at the root: FOR clauses may
+// range over registered source documents or over registered views, and view
+// references are composed and decontextualized (paper Section 6), never
+// materialized. With from a node reached by navigation the query is an
+// in-place query (the QDOM q command, Section 2) whose document(root) refers
+// to the node. When the node's position can be conveyed to the sources the
+// query is decontextualized (Section 5); otherwise Prepare materializes the
+// subtree below the node and plans the query over that copy — the strategy
+// the paper rejects for the common case, kept for completeness and measured
+// in experiment E12.
+func (m *Mediator) Prepare(query string, from *Node) (*Plan, error) {
+	return m.plan(query, from, "", false)
+}
+
+// plan is the one planning function: parse, then translate or
+// decontextualize, rewrite, reorder and push per configuration. name is the
+// answer's root id; empty mints a fresh one. materialize skips
+// decontextualization and plans over a materialized copy of from's subtree.
+func (m *Mediator) plan(query string, from *Node, name string, materialize bool) (*Plan, error) {
+	q, err := xquery.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	p := &Plan{m: m, query: q}
+	rootID := func() string {
+		if name != "" {
+			return name
 		}
-		composePlan, _, err = m.rwCache.Optimize(plan, opts)
-		if err != nil {
-			return nil, nil, err
+		return m.freshID("result")
+	}
+	// The plan the query composes with: the view it ranges over, or the
+	// plan of the document the node belongs to.
+	var origin *compose.OriginPlan
+	ctx, rootName := qdom.Context{FromRoot: true}, "root"
+	if from == nil {
+		if p.view = m.referencedView(q); p.view != nil {
+			origin, rootName = p.view.originPlan(), p.view.Name
+		}
+	} else if c, ok := from.Context(); ok && from.Doc().Origin() != nil && !materialize {
+		o := from.Doc().Origin()
+		origin, ctx = &compose.OriginPlan{Plan: o.Plan, Tags: o.Tags}, c
+	}
+	var input xmas.Op
+	if origin != nil {
+		p.Name = rootID()
+		composed, err := compose.Decontextualize(origin, ctx, q, rootName, p.Name)
+		switch {
+		case err == nil:
+			input, p.Tags = composed.Plan, composed.Tags
+		case from == nil || !isNotDecontextualizable(err):
+			// Only positions that cannot be decontextualized fall back
+			// to materialization; real errors surface.
+			return nil, err
 		}
 	}
-	execPlan = composePlan
+	if input == nil {
+		if from != nil {
+			// The materialization fallback: the query ranges over a
+			// copy of the node's subtree, registered as a source.
+			tmpID := m.freshID("ctx")
+			m.cat.AddXMLDoc(tmpID, compose.MaterializeFallback(from))
+			q = redirectRoot(q, tmpID)
+		}
+		p.Name = rootID()
+		tr, err := translate.Translate(q, p.Name)
+		if err != nil {
+			return nil, err
+		}
+		input, p.Tags = tr.Plan, tr.Tags
+	}
+	if err := m.optimize(p, input); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// optimize runs the rewriter, cost-based join reordering and SQL generation
+// per configuration over plan, recording each stage's output in p.
+func (m *Mediator) optimize(p *Plan, plan xmas.Op) (err error) {
+	p.input, p.ComposePlan = plan, plan
+	if !m.cfg.DisableRewrite {
+		if p.ComposePlan, _, err = m.rwCache.Optimize(plan, m.rewriteOptions()); err != nil {
+			return err
+		}
+	}
+	p.ExecPlan = p.ComposePlan
 	if m.cfg.CostOpt && !m.cfg.DisablePushdown {
 		// Cost-based join reordering sits between the syntactic rewriter and
 		// SQL generation: candidates are judged by what they will cost after
 		// pushdown, but the composable plan (what in-place queries compose
 		// against) keeps the syntactic order. When no candidate wins, Reorder
 		// returns its input unchanged.
-		execPlan = cost.Reorder(execPlan, m.cat, m.cfg.BatchSize)
+		if r := cost.Reorder(p.ExecPlan, m.cat, m.cfg.BatchSize); r != p.ExecPlan {
+			p.reordered, p.ExecPlan = r, r
+		}
 	}
 	if !m.cfg.DisablePushdown {
-		execPlan, err = sqlgen.Push(execPlan, m.cat)
-		if err != nil {
-			return nil, nil, err
+		if p.ExecPlan, err = sqlgen.Push(p.ExecPlan, m.cat); err != nil {
+			return err
 		}
 	}
-	return composePlan, execPlan, nil
+	return nil
 }
 
-// run compiles and starts a plan, wrapping the virtual result as a QDOM
-// document whose origin supports further in-place queries.
-func (m *Mediator) run(composePlan, execPlan xmas.Op, tags map[xmas.Var]string, opts engine.Options) (*qdom.Document, error) {
-	prog, err := m.planCache.CompileWith(execPlan, m.cat, opts)
-	if err != nil {
-		return nil, err
-	}
-	res := prog.Run()
-	return qdom.NewDocument(res, &qdom.Origin{Plan: composePlan, Tags: tags}), nil
-}
-
-// planQuery parses-ahead planning shared by Query, QueryWithMetrics and
-// Explain: view references compose and decontextualize (paper Section 6);
-// everything is optimized per the mediator's configuration.
-func (m *Mediator) planQuery(q *xquery.Query) (composePlan, execPlan xmas.Op, tags map[xmas.Var]string, err error) {
-	if v := m.referencedView(q); v != nil {
-		composed, err := compose.Decontextualize(v.originPlan(), qdom.Context{FromRoot: true}, q, v.Name, m.freshID("result"))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		composePlan, execPlan, err = m.optimize(composed.Plan)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return composePlan, execPlan, composed.Tags, nil
-	}
-	tr, err := translate.Translate(q, m.freshID("result"))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	composePlan, execPlan, err = m.optimize(tr.Plan)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return composePlan, execPlan, tr.Tags, nil
-}
-
-// ExplainTrace plans a query like Explain but also returns the rewrite
-// trace: one rendered plan per applied rule, the live counterpart of the
-// paper's Figures 14-21 walk-through. Nothing is shipped to any source.
-func (m *Mediator) ExplainTrace(query string) (steps []TraceStep, executable string, err error) {
-	q, err := xquery.Parse(query)
-	if err != nil {
-		return nil, "", err
-	}
-	var plan xmas.Op
-	if v := m.referencedView(q); v != nil {
-		// Trace from the naive composition so the view-unfolding steps
-		// show up, as in Figure 13.
-		naive, err := compose.NaiveCompose(v.originPlan(), q, v.Name, m.freshID("result"))
-		if err != nil {
-			return nil, "", err
-		}
-		plan = naive.Plan
-	} else {
-		tr, err := translate.Translate(q, m.freshID("result"))
-		if err != nil {
-			return nil, "", err
-		}
-		plan = tr.Plan
-	}
-	steps = append(steps, TraceStep{Rule: "translate", Plan: xmas.Format(plan)})
+// rewriteOptions is the configured rule set with the relational schemas'
+// child labels filled in.
+func (m *Mediator) rewriteOptions() rewrite.Options {
 	opts := m.cfg.RewriteOptions
 	if opts.ChildLabels == nil {
 		opts.ChildLabels = m.childLabels
 	}
-	opt, trace, err := rewrite.OptimizeTraced(plan, opts)
+	return opts
+}
+
+// Run compiles and starts the plan, returning its virtual answer; its
+// origin supports further in-place queries. Each Run is an independent
+// execution. A view's plan runs as a navigation session (see Open); any
+// other plan runs with Config.BatchExec's window.
+func (p *Plan) Run() (*Document, error) {
+	doc, _, err := p.run(false)
+	return doc, err
+}
+
+// RunWithMetrics is Run with per-operator mediator-work accounting:
+// navigation into the returned document updates the metrics, showing how
+// many tuples each algebra operator produced under demand.
+func (p *Plan) RunWithMetrics() (*Document, *Metrics, error) {
+	return p.run(true)
+}
+
+func (p *Plan) run(metered bool) (*Document, *Metrics, error) {
+	opts := p.m.engineOpts()
+	if p.nav {
+		opts.BatchExec = 1
+	}
+	prog, err := p.m.planCache.CompileWith(p.ExecPlan, p.m.cat, opts)
 	if err != nil {
-		return nil, "", err
+		return nil, nil, err
 	}
-	for _, s := range trace {
-		steps = append(steps, TraceStep{Rule: s.Rule, Plan: s.Plan})
+	var res *engine.Result
+	var metrics *Metrics
+	if metered {
+		res, metrics = prog.RunWithMetrics()
+	} else {
+		res = prog.Run()
 	}
-	exec := opt
-	if !m.cfg.DisablePushdown {
-		exec, err = sqlgen.Push(opt, m.cat)
+	return qdom.NewDocument(res, &qdom.Origin{Plan: p.ComposePlan, Tags: p.Tags}), metrics, nil
+}
+
+// Explain renders the plan: the optimized algebraic form and the executable
+// form with its relational subplans carved into SQL.
+func (p *Plan) Explain() (optimized, executable string) {
+	return xmas.Format(p.ComposePlan), xmas.Format(p.ExecPlan)
+}
+
+// ExplainCost renders the executable plan with the cost model's
+// per-operator predictions: estimated output rows, and cumulative tuples
+// shipped and source round trips per subtree, with the folded scalar cost
+// on a trailing total line.
+func (p *Plan) ExplainCost() string {
+	return cost.Explain(p.ExecPlan, p.estimator())
+}
+
+// Cost is the cost model's whole-plan estimate — the numbers ExplainCost
+// renders. Experiments compare its round trips against observed transfer
+// counters.
+func (p *Plan) Cost() cost.Estimate {
+	return p.estimator().Plan(p.ExecPlan)
+}
+
+func (p *Plan) estimator() *cost.Estimator {
+	return &cost.Estimator{Cat: p.m.cat, Batch: p.m.cfg.BatchSize}
+}
+
+// Trace renders how the plan was reached, one step per stage and per
+// applied rewrite rule — the live counterpart of the paper's Figures 14-21
+// walk-through — and returns the executable plan, the one Run runs. The rule
+// steps are re-derived on request: a query over a view is traced from the
+// naive composition, so the view-unfolding steps show up as in Figure 13.
+// Without rewriting there are no rule steps; a cost-reorder step shows the
+// join order cost-based optimization chose.
+func (p *Plan) Trace() (steps []TraceStep, executable string, err error) {
+	cfg := p.m.cfg
+	start := p.input
+	if !cfg.DisableRewrite && p.view != nil {
+		naive, err := compose.NaiveCompose(p.view.originPlan(), p.query, p.view.Name, p.Name)
 		if err != nil {
 			return nil, "", err
 		}
-		steps = append(steps, TraceStep{Rule: "sql-split", Plan: xmas.Format(exec)})
+		start = naive.Plan
 	}
-	return steps, xmas.Format(exec), nil
+	steps = append(steps, TraceStep{Rule: "translate", Plan: xmas.Format(start)})
+	if !cfg.DisableRewrite {
+		_, trace, err := rewrite.OptimizeTraced(start, p.m.rewriteOptions())
+		if err != nil {
+			return nil, "", err
+		}
+		for _, s := range trace {
+			steps = append(steps, TraceStep{Rule: s.Rule, Plan: s.Plan})
+		}
+	}
+	if p.reordered != nil {
+		steps = append(steps, TraceStep{Rule: "cost-reorder", Plan: xmas.Format(p.reordered)})
+	}
+	executable = xmas.Format(p.ExecPlan)
+	if !cfg.DisablePushdown {
+		steps = append(steps, TraceStep{Rule: "sql-split", Plan: executable})
+	}
+	return steps, executable, nil
 }
 
-// TraceStep is one applied rewrite in an ExplainTrace result.
+// TraceStep is one step of a Plan's Trace.
 type TraceStep struct {
 	Rule string
 	Plan string
 }
 
-// Query parses, plans and starts a query. FOR clauses may range over
-// registered source documents or over registered views; view references are
-// composed and decontextualized (paper Section 6), never materialized.
-func (m *Mediator) Query(query string) (*qdom.Document, error) {
-	q, err := xquery.Parse(query)
+func (p *Plan) originPlan() *compose.OriginPlan {
+	return &compose.OriginPlan{Plan: p.ComposePlan, Tags: p.Tags}
+}
+
+// Query prepares a query from the root and runs it (Prepare, then Run).
+func (m *Mediator) Query(query string) (*Document, error) {
+	p, err := m.Prepare(query, nil)
 	if err != nil {
 		return nil, err
 	}
-	composePlan, execPlan, tags, err := m.planQuery(q)
+	return p.Run()
+}
+
+// QueryFrom prepares an in-place query from a node reached by navigation
+// and runs it (Prepare, then Run). The query's document(root) refers to the
+// node.
+func (m *Mediator) QueryFrom(node *Node, query string) (*Document, error) {
+	p, err := m.Prepare(query, node)
 	if err != nil {
 		return nil, err
 	}
-	return m.run(composePlan, execPlan, tags, m.engineOpts())
-}
-
-// QueryWithMetrics is Query with per-operator mediator-work accounting:
-// navigation into the returned document updates the metrics, showing how
-// many tuples each algebra operator produced under demand.
-func (m *Mediator) QueryWithMetrics(query string) (*qdom.Document, *engine.Metrics, error) {
-	q, err := xquery.Parse(query)
-	if err != nil {
-		return nil, nil, err
-	}
-	composePlan, execPlan, tags, err := m.planQuery(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	prog, err := m.planCache.CompileWith(execPlan, m.cat, m.engineOpts())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, metrics := prog.RunWithMetrics()
-	return qdom.NewDocument(res, &qdom.Origin{Plan: composePlan, Tags: tags}), metrics, nil
-}
-
-// Explain plans a query exactly like Query but returns the plans instead of
-// running anything: the optimized algebraic plan and the executable plan
-// with its relational subplans carved into SQL. Nothing is shipped to any
-// source.
-func (m *Mediator) Explain(query string) (optimized, executable string, err error) {
-	q, err := xquery.Parse(query)
-	if err != nil {
-		return "", "", err
-	}
-	composePlan, execPlan, _, err := m.planQuery(q)
-	if err != nil {
-		return "", "", err
-	}
-	return xmas.Format(composePlan), xmas.Format(execPlan), nil
-}
-
-// ExplainCost plans a query exactly like Explain but renders the executable
-// plan with the cost model's per-operator predictions: estimated output
-// rows, and cumulative tuples shipped and source round trips per subtree,
-// with the folded scalar cost on a trailing total line. Nothing is shipped
-// to any source.
-func (m *Mediator) ExplainCost(query string) (string, error) {
-	q, err := xquery.Parse(query)
-	if err != nil {
-		return "", err
-	}
-	_, execPlan, _, err := m.planQuery(q)
-	if err != nil {
-		return "", err
-	}
-	return cost.Explain(execPlan, &cost.Estimator{Cat: m.cat, Batch: m.cfg.BatchSize}), nil
-}
-
-// PredictCost plans a query like Explain and returns the cost model's
-// whole-plan estimate — the numbers ExplainCost renders. Experiments use it
-// to compare predicted round trips against observed transfer counters.
-func (m *Mediator) PredictCost(query string) (cost.Estimate, error) {
-	q, err := xquery.Parse(query)
-	if err != nil {
-		return cost.Estimate{}, err
-	}
-	_, execPlan, _, err := m.planQuery(q)
-	if err != nil {
-		return cost.Estimate{}, err
-	}
-	est := &cost.Estimator{Cat: m.cat, Batch: m.cfg.BatchSize}
-	return est.Plan(execPlan), nil
-}
-
-// Explain renders the view's plans: the optimized algebraic form and the
-// executable form with generated SQL.
-func (v *View) Explain() (optimized, executable string) {
-	return xmas.Format(v.ComposePlan), xmas.Format(v.ExecPlan)
-}
-
-// MustQuery panics on error; examples and fixtures.
-func (m *Mediator) MustQuery(query string) *qdom.Document {
-	d, err := m.Query(query)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// QueryFrom issues an in-place query from a node reached by navigation (the
-// QDOM q command, paper Section 2). The query's document(root) refers to the
-// node. When the node's position can be conveyed to the sources the query is
-// decontextualized (Section 5); otherwise the mediator falls back to
-// materializing the subtree — the strategy the paper rejects for the common
-// case, kept for completeness and measured in experiment E12.
-func (m *Mediator) QueryFrom(node *qdom.Node, query string) (*qdom.Document, error) {
-	q, err := xquery.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	ctx, ok := node.Context()
-	origin := node.Doc().Origin()
-	if ok && origin != nil {
-		doc, err := m.composeAndRun(&compose.OriginPlan{Plan: origin.Plan, Tags: origin.Tags}, ctx, q, "root")
-		if err == nil {
-			return doc, nil
-		}
-		// Fall through to materialization only for positions that cannot
-		// be decontextualized; real errors surface.
-		if !isNotDecontextualizable(err) {
-			return nil, err
-		}
-	}
-	return m.queryMaterialized(node, q)
+	return p.Run()
 }
 
 // QueryFromMaterialized answers an in-place query by materializing the
 // subtree below the node and evaluating locally — the rejected baseline,
-// exported for experiment E12.
-func (m *Mediator) QueryFromMaterialized(node *qdom.Node, query string) (*qdom.Document, error) {
-	q, err := xquery.Parse(query)
+// exported for experiment E12 and as the oracle decontextualization is
+// tested against.
+func (m *Mediator) QueryFromMaterialized(node *Node, query string) (*Document, error) {
+	p, err := m.plan(query, node, "", true)
 	if err != nil {
 		return nil, err
 	}
-	return m.queryMaterialized(node, q)
-}
-
-func (m *Mediator) queryMaterialized(node *qdom.Node, q *xquery.Query) (*qdom.Document, error) {
-	sub := compose.MaterializeFallback(node)
-	tmpID := m.freshID("ctx")
-	m.cat.AddXMLDoc(tmpID, sub)
-	redirected := redirectRoot(q, tmpID)
-	tr, err := translate.Translate(redirected, m.freshID("result"))
-	if err != nil {
-		return nil, err
-	}
-	composePlan, execPlan, err := m.optimize(tr.Plan)
-	if err != nil {
-		return nil, err
-	}
-	return m.run(composePlan, execPlan, tr.Tags, m.engineOpts())
-}
-
-func (m *Mediator) composeAndRun(origin *compose.OriginPlan, ctx qdom.Context, q *xquery.Query, rootName string) (*qdom.Document, error) {
-	composed, err := compose.Decontextualize(origin, ctx, q, rootName, m.freshID("result"))
-	if err != nil {
-		return nil, err
-	}
-	composePlan, execPlan, err := m.optimize(composed.Plan)
-	if err != nil {
-		return nil, err
-	}
-	return m.run(composePlan, execPlan, composed.Tags, m.engineOpts())
+	return p.Run()
 }
 
 // referencedView returns the view a query's FOR clause ranges over, if any.
@@ -571,10 +561,6 @@ func (m *Mediator) referencedView(q *xquery.Query) *View {
 	return nil
 }
 
-func (v *View) originPlan() *compose.OriginPlan {
-	return &compose.OriginPlan{Plan: v.ComposePlan, Tags: v.Tags}
-}
-
 // Open starts an execution of a registered view itself, returning its
 // virtual document (clients usually navigate here first, then refine).
 //
@@ -585,20 +571,12 @@ func (v *View) originPlan() *compose.OriginPlan {
 // client never looks at — measured on the browse benchmark, 176.0 source
 // tuples per session instead of 67.5. The window applies to the full-answer
 // entry points (Query, QueryFrom), where every row is demanded anyway.
-func (m *Mediator) Open(viewName string) (*qdom.Document, error) {
+func (m *Mediator) Open(viewName string) (*Document, error) {
 	v, ok := m.views[viewName]
 	if !ok {
 		return nil, fmt.Errorf("mix: unknown view %s", viewName)
 	}
-	return m.run(v.ComposePlan, v.ExecPlan, v.Tags, m.navOpts())
-}
-
-// navOpts is engineOpts with the window pinned at one row — the execution
-// options for navigation sessions (Open), which ship on demand.
-func (m *Mediator) navOpts() engine.Options {
-	o := m.engineOpts()
-	o.BatchExec = 1
-	return o
+	return v.Run()
 }
 
 func (m *Mediator) engineOpts() engine.Options {
@@ -692,7 +670,7 @@ func (m *Mediator) SessionStats() SessionStats {
 func (m *Mediator) HealthReport() HealthReport {
 	return HealthReport{
 		Sources:  m.cat.Health(),
-		Shards:   m.ShardHealth(),
+		Shards:   m.cat.ShardHealth(),
 		Wire:     m.cat.TransferStats(),
 		Caches:   m.CacheStats(),
 		Sessions: m.SessionStats(),

@@ -338,10 +338,11 @@ RETURN $T`)
 func TestExplain(t *testing.T) {
 	med := paperMediator(t, mix.Config{})
 	med.ResetStats()
-	opt, exec, err := med.Explain(workload.Fig12)
+	p, err := med.Prepare(workload.Fig12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	opt, exec := p.Explain()
 	if !strings.Contains(opt, "crElt(CustRec") {
 		t.Fatalf("optimized plan:\n%s", opt)
 	}
@@ -544,7 +545,11 @@ RETURN $R`)
 // TestQueryWithMetrics exposes mediator work accounting at the facade.
 func TestQueryWithMetrics(t *testing.T) {
 	med := paperMediator(t, mix.Config{DisablePushdown: true})
-	doc, metrics, err := med.QueryWithMetrics(workload.Fig12)
+	p, err := med.Prepare(workload.Fig12, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, metrics, err := p.RunWithMetrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -732,12 +737,16 @@ RETURN $R`)
 func TestExplainTrace(t *testing.T) {
 	med := paperMediator(t, mix.Config{})
 	med.ResetStats()
-	steps, exec, err := med.ExplainTrace(workload.Fig12)
+	p, err := med.Prepare(workload.Fig12, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps, exec, err := p.Trace()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if med.Stats().TuplesShipped != 0 {
-		t.Fatal("ExplainTrace shipped tuples")
+		t.Fatal("Trace shipped tuples")
 	}
 	if len(steps) < 10 {
 		t.Fatalf("trace too short: %d steps", len(steps))
@@ -761,7 +770,11 @@ func TestExplainTrace(t *testing.T) {
 		t.Fatalf("executable plan lacks the generated SQL:\n%s", exec)
 	}
 	// Non-view queries trace too.
-	steps2, _, err := med.ExplainTrace(`FOR $C IN document(&root1)/customer WHERE $C/name < "E" RETURN $C`)
+	p2, err := med.Prepare(`FOR $C IN document(&root1)/customer WHERE $C/name < "E" RETURN $C`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps2, _, err := p2.Trace()
 	if err != nil || len(steps2) == 0 {
 		t.Fatalf("plain trace: %v, %d", err, len(steps2))
 	}

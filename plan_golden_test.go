@@ -69,11 +69,11 @@ func TestPlannerOutputFrozen(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: optimize: %v", s.name, err)
 		}
-		composePlan, execPlan, err := s.m.optimize(s.plan)
-		if err != nil {
+		var p Plan
+		if err := s.m.optimize(&p, s.plan); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
-		writePlanned(&b, ruleNames(trace), composePlan, execPlan)
+		writePlanned(&b, ruleNames(trace), p.ComposePlan, p.ExecPlan)
 	}
 
 	got := b.String()

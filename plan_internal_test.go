@@ -72,12 +72,13 @@ func TestQueryFromPlanningAllocs(t *testing.T) {
 	}
 	origin := &compose.OriginPlan{Plan: doc.Origin().Plan, Tags: doc.Origin().Tags}
 	q := xquery.MustParse(inPlaceOrders)
+	var p Plan
 	plan := func() {
 		composed, err := compose.Decontextualize(origin, ctx, q, "root", "result")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := m.optimize(composed.Plan); err != nil {
+		if err := m.optimize(&p, composed.Plan); err != nil {
 			t.Fatal(err)
 		}
 	}

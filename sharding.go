@@ -1,9 +1,6 @@
 package mix
 
-import (
-	"mix/internal/shard"
-	"mix/internal/source"
-)
+import "mix/internal/shard"
 
 // AddShardedSource registers a sharded virtual view: a document whose
 // top-level children are partitioned across the member documents by spec
@@ -23,17 +20,4 @@ func (m *Mediator) AddShardedSource(id string, spec shard.Spec, members []shard.
 	}
 	m.cat.AddDoc(id, d)
 	return d, nil
-}
-
-// ShardHealth reports per-member availability of every sharded view
-// registered with this mediator: view id → member id → health.
-func (m *Mediator) ShardHealth() map[string]map[string]source.Health {
-	return m.cat.ShardHealth()
-}
-
-// WireStats reports per-endpoint transfer counters for every remote-backed
-// source this mediator holds, sharded-view members flattened as
-// "<view>/<member>".
-func (m *Mediator) WireStats() map[string]source.TransferStats {
-	return m.cat.TransferStats()
 }

@@ -22,8 +22,9 @@ type Options struct {
 	// top-level children in batches of up to this size. 0 defers to each source's own default; 1 or negative forces one
 	// round trip per child.
 	BatchSize int
-	// Prefetch asks batch-capable sources to keep one batch in flight ahead
-	// of the engine's consumption.
+	// Prefetch tells batch-capable sources the scan will be drained: after
+	// the one-frame first batch, every batch asks for the BatchSize cap. It
+	// starts no goroutine; background read-ahead comes with Parallelism.
 	Prefetch bool
 	// Parallelism caps the number of concurrently running goroutines one
 	// execution may use for intra-query parallelism — exchange producers,
@@ -31,8 +32,9 @@ type Options struct {
 	// value of n allows n-1 producer goroutines. 0 or 1 disables the
 	// machinery entirely and reproduces the sequential demand-driven
 	// evaluation exactly: same code paths, same wire round trips. Values
-	// above 1 also imply source prefetch (overlapping source access is the
-	// point) and open async-capable federated sources concurrently.
+	// above 1 also imply Prefetch (overlapping source access is the point)
+	// and open async-capable federated sources concurrently, each reading
+	// ahead on its own producer goroutine.
 	Parallelism int
 	// ExchangeBuffer bounds each exchange's tuple buffer — the backpressure
 	// window between a producer goroutine and its consumer. 0 means
@@ -136,7 +138,8 @@ func (r *Result) Close() {
 
 // Err reports an error encountered while forcing the result. Cursor errors
 // surface as truncated child lists; callers that need to distinguish check
-// Err after navigation. (The QDOM layer re-checks it on every step.)
+// Err when navigation finds no child, as the wire server and the mixnav
+// REPL do.
 func (r *Result) Err() error {
 	if r.err == nil {
 		return nil

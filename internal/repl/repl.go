@@ -89,12 +89,16 @@ func (s *Session) Execute(line string, w io.Writer) (quit bool) {
 	return false
 }
 
+// move steps to next, or reports why there is no node there: ⊥, or the
+// source failure that cut the document short.
 func (s *Session) move(w io.Writer, next *mix.Node, blocked string) {
-	if next == nil {
+	if next != nil {
+		s.node = next
+	} else if err := s.node.Doc().Err(); err != nil {
+		fmt.Fprintln(w, "error:", err)
+	} else {
 		fmt.Fprintln(w, blocked)
-		return
 	}
-	s.node = next
 }
 
 // Run drives the session from r until quit or EOF, echoing prompts to w.

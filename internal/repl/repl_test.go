@@ -1,12 +1,15 @@
 package repl_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"mix"
 	"mix/internal/repl"
+	"mix/internal/source"
 	"mix/internal/workload"
+	"mix/internal/xtree"
 )
 
 func session(t *testing.T) *repl.Session {
@@ -139,4 +142,67 @@ func TestRunLoopEOF(t *testing.T) {
 	if err := s.Run(strings.NewReader("l\n"), &out); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// failAfterDoc serves the first n children of a document, then fails the
+// scan: a source that dies mid-scan.
+type failAfterDoc struct {
+	source.Doc
+	n int
+}
+
+func (d failAfterDoc) Open(opts source.ScanOpts) (source.ElemCursor, error) {
+	cur, err := d.Doc.Open(opts)
+	if err != nil {
+		return nil, err
+	}
+	return &failAfterCursor{ElemCursor: cur, left: d.n}, nil
+}
+
+type failAfterCursor struct {
+	source.ElemCursor
+	left int
+}
+
+func (c *failAfterCursor) Next() (*xtree.Node, bool, error) {
+	if c.left == 0 {
+		return nil, false, &source.SourceUnavailableError{Source: "&bad", Err: errors.New("link down")}
+	}
+	c.left--
+	return c.ElemCursor.Next()
+}
+
+// TestNavigationReportsSourceFailure: when a source fails mid-scan, the
+// step that runs into the failure prints it instead of ⊥.
+func TestNavigationReportsSourceFailure(t *testing.T) {
+	med := mix.New()
+	if err := med.AddXMLSource("&items", "<doc><item>a</item><item>b</item><item>c</item><item>d</item></doc>"); err != nil {
+		t.Fatal(err)
+	}
+	items, err := med.Catalog().Resolve("&items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	med.Catalog().AddDoc("&bad", failAfterDoc{Doc: items, n: 2})
+	if _, err := med.DefineView("badv", "FOR $I IN document(&bad)/item RETURN <It> $I </It>"); err != nil {
+		t.Fatal(err)
+	}
+	s, err := repl.New(med, "badv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := exec(t, s, "d"); got != "" {
+		t.Fatalf("d onto the first item: %q", got)
+	}
+	for i := 0; i < 4; i++ {
+		got := exec(t, s, "r")
+		if got == "" {
+			continue
+		}
+		if !strings.Contains(got, "source &bad unavailable") || strings.Contains(got, "⊥") {
+			t.Fatalf("r into the failure: %q", got)
+		}
+		return
+	}
+	t.Fatal("r never reached the failure")
 }

@@ -13,7 +13,7 @@ type KeyConstraint struct {
 // ScanOpts is the one description of a scan that every Doc.Open receives:
 // the execution's batching and parallelism knobs plus what compile-time plan
 // analysis knows about the scan. Local documents ignore it; a remote
-// document batches, prefetches and opens in the background as asked; a
+// document batches, sizes its batches and opens in the background as asked; a
 // coordinator (the sharded views of internal/shard) also prunes members and
 // picks a merge strategy from it, and hands each member a ScanOpts derived
 // from its own. Whoever builds one from execution options sets Prefetch
@@ -25,7 +25,9 @@ type ScanOpts struct {
 	// means the source's own default, 1 or negative one round trip per
 	// child.
 	BatchSize int
-	// Prefetch keeps one batch in flight ahead of consumption.
+	// Prefetch says the scan will be drained: a batching document skips its
+	// doubling ladder and asks for the BatchSize cap after the one-frame
+	// first batch. Read-ahead on a goroutine is Parallel's, not Prefetch's.
 	Prefetch bool
 	// Parallel reports that the execution runs with Parallelism > 1: a
 	// document whose open is worth moving off the consumer goroutine (remote

@@ -2,18 +2,18 @@ package wire
 
 import "sync"
 
-// batchWindow is one parent's adaptive read-ahead cursor over its children:
-// the client-side half of the batched children op. The window fetches
-// batches on demand — the first batch carries one frame, so first-answer
-// latency is the same as a single step, and each subsequent batch doubles
-// toward the cap while the consumer keeps scanning. With prefetch on, the
-// next batch is requested in the background once the unread tail drops
-// below half the next batch size (double-buffering), hiding the round trip
-// behind consumption.
+// batchWindow is one parent's adaptive cursor over its children: the
+// client-side half of the batched children op. The window fetches a batch
+// only when a get asks for a child it lacks — the first batch carries one
+// frame, so first-answer latency is the same as a single step, and each
+// subsequent batch doubles toward the cap while the consumer keeps scanning.
+// With prefetch on, the window skips the ladder: every batch after the first
+// asks for the cap. Background read-ahead is not the window's job; a scan
+// that wants it runs through source.Ahead (OpenAhead, the shard pumps).
 //
-// Concurrency: the window has its own lock, below RemoteNode.mu and
-// Client.mu in the order — get never holds w.mu across a round trip (the
-// fetch runs on a goroutine and re-acquires w.mu only after do returns).
+// Concurrency: get fetches on the calling goroutine with w.mu held across
+// the round trip, so concurrent getters wait on w.mu and find the batch
+// seated. The lock order is batchWindow.mu → RemoteNode.mu → Client.mu.
 // Resilience is inherited from Client.do: a mid-batch connection drop
 // surfaces as a typed error from get, and the next get retries, replaying
 // the parent's path if the connection turned over.
@@ -25,14 +25,10 @@ type batchWindow struct {
 	deep   bool
 
 	mu        sync.Mutex
-	cond      *sync.Cond
 	nodes     []*RemoteNode // fetched children, index = child index
 	complete  bool          // no children exist past nodes
-	fetching  bool          // a fetch is in flight
-	err       error         // pending fetch failure; delivered once, then retried
-	nextSize  int           // next batch's Max (geometric growth)
+	nextSize  int           // next batch's Max
 	delivered int           // highest index handed to the consumer
-	abandoned bool
 	// valEpoch is the node-cache epoch this window last validated the
 	// server's data version under (-1: never). Cached frames are served only
 	// while it matches the cache's current epoch — one ping per window per
@@ -41,7 +37,7 @@ type batchWindow struct {
 }
 
 func newBatchWindow(c *Client, parent *RemoteNode, cap int, pre, deep bool) *batchWindow {
-	w := &batchWindow{
+	return &batchWindow{
 		c:         c,
 		parent:    parent,
 		cap:       cap,
@@ -51,83 +47,57 @@ func newBatchWindow(c *Client, parent *RemoteNode, cap int, pre, deep bool) *bat
 		delivered: -1,
 		valEpoch:  -1,
 	}
-	w.cond = sync.NewCond(&w.mu)
-	return w
 }
 
-// get returns child i, or (nil, nil) for ⊥ past the last child. It blocks
-// while a fetch that may produce child i is in flight; a fetch failure is
-// returned once and the next get retries.
+// get returns child i, or (nil, nil) for ⊥ past the last child. A fetch
+// failure is returned to this caller; the next get retries.
 func (w *batchWindow) get(i int) (*RemoteNode, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if i > w.delivered {
 		w.delivered = i
 	}
-	for {
-		if i < len(w.nodes) {
-			n := w.nodes[i]
-			w.maybePrefetchLocked()
-			return n, nil
-		}
-		if w.err != nil {
-			err := w.err
-			w.err = nil
+	for i >= len(w.nodes) && !w.complete {
+		if err := w.fetchLocked(); err != nil {
 			return nil, err
 		}
-		if w.complete {
-			return nil, nil
-		}
-		if !w.fetching {
-			w.startFetchLocked()
-		}
-		w.cond.Wait()
 	}
+	if i < len(w.nodes) {
+		return w.nodes[i], nil
+	}
+	return nil, nil
 }
 
-// maybePrefetchLocked starts a background fetch when prefetch is on and the
-// unread tail has shrunk below half the next batch.
-func (w *batchWindow) maybePrefetchLocked() {
-	if !w.pre || w.fetching || w.complete || w.err != nil {
-		return
+// fetchLocked seats the window's next batch, from the node cache when it
+// holds the run and from the wire otherwise.
+func (w *batchWindow) fetchLocked() error {
+	skip := len(w.nodes)
+	if frames, complete := w.cachedLocked(skip); len(frames) > 0 {
+		w.seatLocked(frames, -1, complete) // handleless; see cachedLocked
+		return nil
 	}
-	if len(w.nodes)-1-w.delivered <= w.nextSize/2 {
-		w.startFetchLocked()
-	}
-}
-
-func (w *batchWindow) startFetchLocked() {
-	w.fetching = true
-	go w.fetch(len(w.nodes), w.nextSize)
-}
-
-func (w *batchWindow) fetch(skip, size int) {
-	if w.fetchFromCache(skip, size) {
-		return
-	}
-	resp, gen, err := w.c.do(Request{Op: "children", Skip: skip, Max: size, Deep: w.deep}, w.parent)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	defer w.cond.Broadcast()
-	w.fetching = false
+	resp, gen, err := w.c.do(Request{Op: "children", Skip: skip, Max: w.nextSize, Deep: w.deep}, w.parent)
 	if err != nil {
-		w.err = err
-		return
+		return err
 	}
 	w.c.noteBatch(len(resp.Frames))
+	// An empty batch that promises more would spin the window; treat it as
+	// exhaustion (defensive — the server never sends it).
+	complete := !resp.More || len(resp.Frames) == 0
 	if nc := w.c.cache; nc != nil {
-		// Retain the batch whether or not the window was abandoned — the
-		// frames are valid data a later walk can reuse.
-		nc.store(w.parent.ID(), skip, resp.Frames, !resp.More || len(resp.Frames) == 0, w.deep, resp.DataVersion)
+		nc.store(w.parent.ID(), skip, resp.Frames, complete, w.deep, resp.DataVersion)
 	}
-	if w.abandoned {
-		// The consumer closed mid-flight; nobody will release these seats.
-		for _, f := range resp.Frames {
-			w.c.deferRelease(f.Handle, gen)
-		}
-		return
-	}
-	for _, f := range resp.Frames {
+	w.seatLocked(resp.Frames, gen, complete)
+	return nil
+}
+
+// seatLocked appends one batch's frames as the window's next children and
+// grows the window — the same way for a wire batch and a cached run, so a
+// cached run that ends short of the tail hands the network the batch sizes
+// an uncached walk would have used by this point. A frame carries its
+// subtree when the window is deep or the cache kept one from a deep batch.
+func (w *batchWindow) seatLocked(frames []NodeFrame, gen int64, complete bool) {
+	for _, f := range frames {
 		n := &RemoteNode{
 			c:      w.c,
 			handle: f.Handle,
@@ -140,16 +110,12 @@ func (w *batchWindow) fetch(skip, size int) {
 			win:    w,
 			winIdx: len(w.nodes),
 		}
-		if w.deep {
+		if w.deep || f.XML != "" {
 			n.xml, n.hasXML = f.XML, true
 		}
 		w.nodes = append(w.nodes, n)
 	}
-	// An empty batch that promises more would spin the window; treat it as
-	// exhaustion (defensive — the server never sends it).
-	if !resp.More || len(resp.Frames) == 0 {
-		w.complete = true
-	}
+	w.complete = complete
 	if w.pre {
 		// Prefetch is the throughput mode: the consumer has declared it will
 		// keep scanning, so after the one-frame first batch (kept small for
@@ -158,109 +124,55 @@ func (w *batchWindow) fetch(skip, size int) {
 		// a draining consumer pays for nothing.
 		w.nextSize = w.cap
 	} else {
-		w.nextSize = size * 2
-		if w.nextSize > w.cap {
-			w.nextSize = w.cap
-		}
+		w.nextSize = min(2*w.nextSize, w.cap)
 	}
 }
 
-// fetchFromCache tries to serve the window's next batch from the client's
-// node cache instead of the wire. It returns true when cached frames were
-// appended (or the window was abandoned); false falls through to the
-// network fetch. Cached nodes are handleless (gen -1): the first op that
-// needs a server-side handle replays the node's child path — the same lazy
-// re-acquisition a redial uses — so a walk that only reads piggybacked
-// labels/values/XML never pays a round trip per node.
+// cachedLocked returns the run of cached frames starting at child skip, or
+// nothing when the network must serve the batch. Cached frames carry no
+// handle (gen -1): the first op that needs a server-side handle replays the
+// node's child path — the same lazy re-acquisition a redial uses — so a
+// walk that only reads piggybacked labels/values/XML never pays a round
+// trip per node.
 //
 // Before any cached frame is served, the window validates the server's data
 // version once per connection epoch: a single ping, whose response carries
-// the version and purges the cache if it moved (see nodeCache). Runs on the
-// fetch goroutine; w.mu is never held across a round trip.
-func (w *batchWindow) fetchFromCache(skip, size int) bool {
+// the version and purges the cache if it moved (see nodeCache).
+func (w *batchWindow) cachedLocked(skip int) (frames []NodeFrame, complete bool) {
 	nc := w.c.cache
 	if nc == nil || w.parent.ID() == "" {
-		return false
+		return nil, false
 	}
 	// Cold check before paying a validation round trip: if nothing usable is
 	// cached at this position, the network fetch is happening anyway.
 	if f, ok := nc.frames.Peek(nodeKey{parent: w.parent.ID(), idx: skip}); !ok || (w.deep && !f.hasXML) {
 		nc.misses.Add(1)
-		return false
+		return nil, false
 	}
-	epoch := nc.epoch.Load()
-	w.mu.Lock()
-	validated := w.valEpoch == epoch
-	w.mu.Unlock()
-	if !validated {
+	if w.valEpoch != nc.epoch.Load() {
 		if err := w.c.Ping(); err != nil {
-			return false // let the network path surface the failure
+			return nil, false // let the network path surface the failure
 		}
 		nc.validations.Add(1)
 		// The ping itself may have redialed; record the epoch it landed on.
-		epoch = nc.epoch.Load()
-		w.mu.Lock()
-		w.valEpoch = epoch
-		w.mu.Unlock()
+		w.valEpoch = nc.epoch.Load()
 	}
-	frames, complete := nc.run(w.parent.ID(), skip, w.deep)
+	frames, complete = nc.run(w.parent.ID(), skip, w.deep)
 	if len(frames) == 0 {
 		nc.misses.Add(1)
-		return false
+		return nil, false
 	}
 	nc.hits.Add(1)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	defer w.cond.Broadcast()
-	w.fetching = false
-	if w.abandoned {
-		return true // cached nodes hold no server handles; nothing to release
-	}
-	for _, f := range frames {
-		n := &RemoteNode{
-			c:      w.c,
-			gen:    -1, // handleless; see fetchFromCache doc
-			label:  f.label,
-			nodeID: f.nodeID,
-			leaf:   f.leaf,
-			value:  f.value,
-			path:   nodePath{parent: w.parent, child: true, childIdx: len(w.nodes)},
-			win:    w,
-			winIdx: len(w.nodes),
-		}
-		if f.hasXML {
-			n.xml, n.hasXML = f.xml, true
-		}
-		w.nodes = append(w.nodes, n)
-	}
-	if complete {
-		w.complete = true
-	}
-	// Grow the window exactly as a network batch would: a cached run that
-	// ends short of the tail hands the network path the same batch sizes the
-	// uncached walk would have used by this point.
-	if w.pre {
-		w.nextSize = w.cap
-	} else {
-		w.nextSize = size * 2
-		if w.nextSize > w.cap {
-			w.nextSize = w.cap
-		}
-	}
-	return true
+	return frames, complete
 }
 
-// abandon releases the window's undelivered read-ahead (cursor Close):
-// seats past the last delivered index are queued for piggybacked release,
-// and a fetch landing afterwards releases its frames the same way.
-// Delivered nodes are untouched — their owners release them.
+// abandon releases the window's undelivered seats (cursor Close): seats past
+// the last delivered index are queued for piggybacked release, and the
+// window fetches nothing more. Delivered nodes are untouched — their owners
+// release them.
 func (w *batchWindow) abandon() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.abandoned {
-		return
-	}
-	w.abandoned = true
 	w.complete = true
 	for i := w.delivered + 1; i < len(w.nodes); i++ {
 		n := w.nodes[i]
@@ -271,5 +183,4 @@ func (w *batchWindow) abandon() {
 		}
 		n.mu.Unlock()
 	}
-	w.cond.Broadcast()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 
 	"mix"
@@ -398,5 +399,70 @@ func TestRemoteCursorFirstTupleOneTrip(t *testing.T) {
 	}
 	if n := srv.LiveHandles(); n != 0 {
 		t.Fatalf("%d server handles live after the scan closed", n)
+	}
+}
+
+// TestWindowConcurrentGetters: goroutines walking Right from one window's
+// first child at once all see the same children in the same order, and the
+// window fetches each batch once — the sequential ladder 1+2+4+8+16+9 — so
+// releasing every node drains the server's handles.
+func TestWindowConcurrentGetters(t *testing.T) {
+	var srv *wire.Server
+	c := dialFlat(t, flatMediator(t, 40), func(s *wire.Server) { srv = s }, wire.ClientConfig{})
+	root, err := c.Open("flatv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := root.Down()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := make([][]string, 8)
+	var wg sync.WaitGroup
+	for g := range seqs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := first; n != nil; {
+				seqs[g] = append(seqs[g], n.ID())
+				next, err := n.Right()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				n = next
+			}
+		}(g)
+	}
+	wg.Wait()
+	seen := map[string]bool{}
+	for _, id := range seqs[0] {
+		seen[id] = true
+	}
+	if len(seqs[0]) != 40 || len(seen) != 40 {
+		t.Fatalf("walker 0 saw %d children (%d distinct), want 40", len(seqs[0]), len(seen))
+	}
+	for g, seq := range seqs {
+		if strings.Join(seq, ",") != strings.Join(seqs[0], ",") {
+			t.Fatalf("walker %d saw %v, walker 0 saw %v", g, seq, seqs[0])
+		}
+	}
+	if got := c.WireStats().BatchesFetched; got != 6 {
+		t.Fatalf("8 concurrent walkers fetched %d children batches, want 6", got)
+	}
+	for n := first; n != nil; {
+		next, err := n.Right()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = n.Release()
+		n = next
+	}
+	_ = root.Release()
+	if err := c.Ping(); err != nil { // carries the piggybacked releases
+		t.Fatal(err)
+	}
+	if n := srv.LiveHandles(); n != 0 {
+		t.Fatalf("%d server handles live after every node was released", n)
 	}
 }

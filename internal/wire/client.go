@@ -83,9 +83,9 @@ type ClientConfig struct {
 	// connection's SetDeadline when available (net.Conn, net.Pipe,
 	// faultnet.Conn). 0 means DefaultOpTimeout; negative disables.
 	OpTimeout time.Duration
-	// MaxRetries bounds automatic retries of idempotent ops (ping, label,
-	// value, nodeID, stats, close) after transport failures. 0 means
-	// DefaultMaxRetries; negative disables retries.
+	// MaxRetries bounds automatic retries of idempotent ops (ping, stats,
+	// close) after transport failures. 0 means DefaultMaxRetries; negative
+	// disables retries.
 	MaxRetries int
 	// BackoffBase/BackoffMax shape the jittered exponential backoff
 	// between retries: attempt k sleeps in [d/2, d) for
@@ -128,9 +128,10 @@ type ClientConfig struct {
 	// 0 means DefaultBatchSize; 1 or negative disables batching entirely,
 	// preserving the one-round-trip-per-step behaviour exactly.
 	BatchSize int
-	// Prefetch keeps one batch in flight ahead of consumption
-	// (double-buffering): when the unread tail of a window drops below half
-	// the next batch size, the next batch is fetched in the background.
+	// Prefetch declares that the client will drain the windows it opens:
+	// after the one-frame first batch, every batch asks for the BatchSize
+	// cap instead of doubling toward it. Batches are still fetched on the
+	// goroutine that asks for them; background read-ahead is source.Ahead's.
 	Prefetch bool
 	// NodeCache retains up to this many navigation node frames across batch
 	// windows and reconnects, keyed by (parent object id, child index): a
@@ -199,10 +200,7 @@ func (cfg *ClientConfig) busyRetries() int {
 // idempotentOps may be retried blindly: they read state that exists
 // independently of the request (no server-side handle allocation, no
 // payload beyond a scalar). See DESIGN.md's idempotency table.
-var idempotentOps = map[string]bool{
-	"ping": true, "label": true, "value": true, "nodeID": true,
-	"stats": true, "close": true,
-}
+var idempotentOps = map[string]bool{"ping": true, "stats": true, "close": true}
 
 // deadliner is the subset of net.Conn the client uses for op deadlines.
 type deadliner interface{ SetDeadline(time.Time) error }
@@ -974,8 +972,7 @@ type RemoteNode struct {
 	path   nodePath
 
 	// win/winIdx seat the node in the batch window that produced it: Right
-	// consumes the next seat (usually already fetched) instead of paying a
-	// round trip.
+	// takes the next seat, paying a round trip only when it ends a batch.
 	win    *batchWindow
 	winIdx int
 	// xml caches the subtree shipped by a Deep batch; Materialize is then
@@ -1072,7 +1069,7 @@ type ScanConfig struct {
 	// BatchSize caps this scan's batch window; 0 takes
 	// ClientConfig.BatchSize; 1 or negative disables batching for this scan.
 	BatchSize int
-	// Prefetch keeps one batch in flight ahead of consumption for this scan
+	// Prefetch jumps this scan's window to the cap after its first batch
 	// even when ClientConfig.Prefetch is off.
 	Prefetch bool
 	// Deep ships each frame's materialized subtree XML with the batch,
@@ -1108,8 +1105,8 @@ func (n *RemoteNode) DownScan(sc ScanConfig) (*RemoteNode, error) {
 }
 
 // Right evaluates r at the mediator. A node produced by a batched scan takes
-// its next sibling from the window (usually already fetched); otherwise it
-// is a single-step round trip.
+// its next sibling from the window, which fetches the next batch when this
+// one is used up; otherwise it is a single-step round trip.
 func (n *RemoteNode) Right() (*RemoteNode, error) {
 	if n == nil {
 		return nil, fmt.Errorf("wire: navigation from ⊥")

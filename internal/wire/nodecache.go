@@ -17,18 +17,14 @@ type nodeKey struct {
 	idx    int
 }
 
-// cachedFrame is one retained NodeFrame, minus its (session-scoped) handle.
-// Nodes rebuilt from a cached frame are handleless; the first operation that
-// needs a server-side handle lazily re-acquires it by replaying the node's
-// path — one children(skip=idx, max=1) round trip — exactly the machinery
-// fault recovery already uses after a redial.
+// cachedFrame is one retained NodeFrame, its (session-scoped) handle
+// zeroed. Nodes rebuilt from a cached frame are handleless; the first
+// operation that needs a server-side handle lazily re-acquires it by
+// replaying the node's path — one children(skip=idx, max=1) round trip —
+// exactly the machinery fault recovery already uses after a redial.
 type cachedFrame struct {
-	label  string
-	nodeID string
-	value  string
-	leaf   bool
-	xml    string
-	hasXML bool
+	NodeFrame
+	hasXML bool // XML holds the subtree a deep batch shipped
 	// last marks the final child: the frame arrived in a batch that reported
 	// no more siblings. It bounds completeness per frame, so the cache needs
 	// no side table of child counts; an evicted last frame simply degrades
@@ -108,17 +104,10 @@ func (nc *nodeCache) store(parent string, start int, frames []NodeFrame, complet
 	}
 	for i, f := range frames {
 		k := nodeKey{parent: parent, idx: start + i}
-		cf := cachedFrame{
-			label:  f.Label,
-			nodeID: f.NodeID,
-			value:  f.Value,
-			leaf:   f.IsLeaf,
-			last:   complete && i == len(frames)-1,
-		}
-		if deep {
-			cf.xml, cf.hasXML = f.XML, true
-		} else if old, ok := nc.frames.Peek(k); ok && old.hasXML {
-			cf.xml, cf.hasXML = old.xml, true
+		f.Handle = 0
+		cf := cachedFrame{NodeFrame: f, hasXML: deep, last: complete && i == len(frames)-1}
+		if old, ok := nc.frames.Peek(k); !deep && ok && old.hasXML {
+			cf.XML, cf.hasXML = old.XML, true
 		}
 		nc.frames.Put(k, cf)
 	}
@@ -136,7 +125,7 @@ func (nc *nodeCache) store(parent string, start int, frames []NodeFrame, complet
 // stopping at the first gap (or the first frame missing subtree XML when
 // needXML is set). complete reports that the run ends at the last child, so
 // the caller needs no confirming round trip. An empty run is a miss.
-func (nc *nodeCache) run(parent string, start int, needXML bool) (frames []cachedFrame, complete bool) {
+func (nc *nodeCache) run(parent string, start int, needXML bool) (frames []NodeFrame, complete bool) {
 	if parent == "" {
 		return nil, false
 	}
@@ -145,7 +134,7 @@ func (nc *nodeCache) run(parent string, start int, needXML bool) (frames []cache
 		if !ok || (needXML && !f.hasXML) {
 			return frames, false
 		}
-		frames = append(frames, f)
+		frames = append(frames, f.NodeFrame)
 		if f.last {
 			return frames, true
 		}

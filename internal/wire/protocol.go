@@ -39,8 +39,8 @@ package wire
 // Request is one client command.
 type Request struct {
 	ID int64
-	// Op is the command: open, query, queryFrom, down, right, up, label,
-	// value, nodeID, materialize, children, stats, ping, close, resume.
+	// Op is the command: open, query, queryFrom, down, right, up,
+	// materialize, children, stats, ping, close, resume.
 	// close releases the node handle it names and is idempotent. children
 	// is the batched navigation op: it returns up to Max sibling frames
 	// starting at the Skip-th child of Handle. resume presents a

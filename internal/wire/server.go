@@ -515,6 +515,13 @@ func (s *session) handle(req Request) (resp Response) {
 		case "up":
 			next = n.Up()
 		}
+		if next == nil {
+			// ⊥ is the end only while the document is sound: a step that
+			// stopped on a source failure answers with the failure.
+			if err := n.Doc().Err(); err != nil {
+				return fail(err)
+			}
+		}
 		return nodeResp(next)
 	case "children":
 		// Batched d+r*: up to Max sibling frames starting at the Skip-th
@@ -528,33 +535,7 @@ func (s *session) handle(req Request) (resp Response) {
 		if req.Skip < 0 {
 			return fail(fmt.Errorf("children: negative skip %d", req.Skip))
 		}
-		return s.batchResp(req, n.ChildStream(req.Skip))
-	case "label":
-		n, err := s.get(req.Handle)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Label = n.Label()
-		return resp
-	case "value":
-		n, err := s.get(req.Handle)
-		if err != nil {
-			return fail(err)
-		}
-		v, isLeaf := n.Value()
-		if !isLeaf {
-			resp.Nil = true // the paper's ⊥ for fv on non-leaves
-			return resp
-		}
-		resp.Value = v
-		return resp
-	case "nodeID":
-		n, err := s.get(req.Handle)
-		if err != nil {
-			return fail(err)
-		}
-		resp.NodeID = n.ID()
-		return resp
+		return s.batchResp(req, n)
 	case "materialize":
 		n, err := s.get(req.Handle)
 		if err != nil {
@@ -613,15 +594,18 @@ func (fa *frameAppender) add(f NodeFrame) {
 	fa.resp.Frames = append(fa.resp.Frames, f)
 }
 
-// batchResp cuts one children batch from next. Frames accumulate until
-// the client's Max, the server's MaxBatch, the frame-size budget, or the
-// handle table or session memory quota ends the batch. A budget or handle-table cut ships a partial
-// batch with More=true — the unshipped node holds no handle and the client
-// re-derives it in the next batch — and only a batch that cannot fit a
-// single frame fails. A batch ended by Max peeks one node ahead so More is
-// definitive and the client never pays an empty confirming round trip; the
-// peeked node's production is cached, so re-deriving it later is free.
-func (s *session) batchResp(req Request, next func() *mix.Node) Response {
+// batchResp cuts one children batch of parent from child req.Skip on.
+// Frames accumulate until the client's Max, the server's MaxBatch, the
+// frame-size budget, or the handle table or session memory quota ends the
+// batch. A budget or handle-table cut ships a partial batch with More=true —
+// the unshipped node holds no handle and the client re-derives it in the
+// next batch — and only a batch that cannot fit a single frame fails. A
+// source failure cuts the batch the same way: the frames before it ship with
+// More=true, and the batch that finds no child answers with the failure. A
+// batch ended by Max peeks one node ahead so More is definitive and the
+// client never pays an empty confirming round trip; the peeked node's
+// production is cached, so re-deriving it later is free.
+func (s *session) batchResp(req Request, parent *mix.Node) Response {
 	resp := Response{ID: req.ID, OK: true}
 	max := req.Max
 	if max < 1 {
@@ -631,10 +615,18 @@ func (s *session) batchResp(req Request, next func() *mix.Node) Response {
 		max = s.maxBatch
 	}
 	fa := newFrameAppender(&resp, max, s.maxFrame)
+	next := parent.ChildStream(req.Skip)
 	for !fa.full() {
 		n := next()
 		if n == nil {
-			return resp // exhausted: More stays false
+			// The children ended, or a source failed producing the next one.
+			if err := parent.Doc().Err(); err != nil {
+				if len(resp.Frames) == 0 {
+					return Response{ID: req.ID, OK: false, Error: err.Error()}
+				}
+				resp.More = true // the next batch answers with the failure
+			}
+			return resp
 		}
 		f := NodeFrame{Label: n.Label(), NodeID: n.ID(), IsLeaf: n.IsLeaf()}
 		if v, isLeaf := n.Value(); isLeaf {
@@ -658,6 +650,6 @@ func (s *session) batchResp(req Request, next func() *mix.Node) Response {
 		f.Handle = h
 		fa.add(f)
 	}
-	resp.More = next() != nil
+	resp.More = next() != nil || parent.Doc().Err() != nil
 	return resp
 }

@@ -78,12 +78,12 @@ func (d *RemoteDoc) TransferStats() source.TransferStats {
 // which arrive in adaptive deep batches (each frame ships its subtree XML,
 // so the per-child materialize round trip disappears too). opts.BatchSize 0
 // takes the client's configured batch size; 1 or negative falls back to one
-// round trip per step+materialize. opts.Prefetch keeps one batch in flight
-// ahead of the engine's consumption. Under opts.Parallel the remote open (a
-// network round trip) and a bounded read-ahead run on a producer goroutine,
-// so a parallel execution contacts distinct remote mediators concurrently —
-// compounding with the batched prefetch. Order and key hints do not apply to
-// a single remote document.
+// round trip per step+materialize. opts.Prefetch jumps the window to the cap
+// after its one-frame first batch. Under opts.Parallel the remote open (a
+// network round trip) and a bounded read-ahead run on a source.Ahead
+// producer goroutine, so a parallel execution contacts distinct remote
+// mediators concurrently and fetches batches while the engine consumes.
+// Order and key hints do not apply to a single remote document.
 func (d *RemoteDoc) Open(opts source.ScanOpts) (source.ElemCursor, error) {
 	open := func() (source.ElemCursor, error) {
 		deep := opts.BatchSize == 0 && d.root.c.cfg.BatchSize > 1 || opts.BatchSize > 1
@@ -152,8 +152,8 @@ func (c *remoteCursor) unavailable(err error) error {
 }
 
 // Close releases the cursor's outstanding server-side handle — the child
-// Next returned last, or the one it would return next — and abandons any
-// read-ahead its batch window holds (undelivered frames are queued for
+// Next returned last, or the one it would return next — and abandons its
+// batch window (frames fetched but not yet handed over are queued for
 // piggybacked release, so partial scans leak no handles).
 func (c *remoteCursor) Close() {
 	held := c.next

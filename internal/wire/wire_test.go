@@ -7,9 +7,11 @@ import (
 	"testing"
 
 	"mix"
+	"mix/internal/source"
 	"mix/internal/testleak"
 	"mix/internal/wire"
 	"mix/internal/workload"
+	"mix/internal/xtree"
 )
 
 // startPair wires a client to a fresh server session over net.Pipe.
@@ -299,5 +301,116 @@ func TestNilRemoteNodeSafety(t *testing.T) {
 	}
 	if _, err := n.Materialize(); err == nil {
 		t.Fatal("materialize of ⊥ must error")
+	}
+}
+
+// failAfterDoc serves the first n children of a document, then fails the
+// scan: a source that dies mid-scan.
+type failAfterDoc struct {
+	source.Doc
+	n int
+}
+
+func (d failAfterDoc) Open(opts source.ScanOpts) (source.ElemCursor, error) {
+	cur, err := d.Doc.Open(opts)
+	if err != nil {
+		return nil, err
+	}
+	return &failAfterCursor{ElemCursor: cur, left: d.n}, nil
+}
+
+type failAfterCursor struct {
+	source.ElemCursor
+	left int
+}
+
+func (c *failAfterCursor) Next() (*xtree.Node, bool, error) {
+	if c.left == 0 {
+		return nil, false, &source.SourceUnavailableError{Source: "&bad", Err: errors.New("link down")}
+	}
+	c.left--
+	return c.ElemCursor.Next()
+}
+
+// TestSourceFailureCrossesTheWire: a view whose source fails mid-scan
+// reaches a remote client as that failure, never as a shorter child list
+// ending in ⊥ — on a batched walk, a single-step walk, and a RemoteDoc
+// scan, which surfaces it as *source.SourceUnavailableError.
+func TestSourceFailureCrossesTheWire(t *testing.T) {
+	med := mix.New()
+	if err := med.AddXMLSource("&flat", flatXML(20)); err != nil {
+		t.Fatal(err)
+	}
+	flat, err := med.Catalog().Resolve("&flat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	med.Catalog().AddDoc("&bad", failAfterDoc{Doc: flat, n: 5})
+	if _, err := med.DefineView("badv", "FOR $I IN document(&bad)/item RETURN <It> $I </It>"); err != nil {
+		t.Fatal(err)
+	}
+
+	// In process: the child list is cut short and the document says why.
+	doc, err := med.Open("badv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := 0
+	for n := doc.Root().Down(); n != nil; n = n.Right() {
+		local++
+	}
+	if doc.Err() == nil || !strings.Contains(doc.Err().Error(), "source &bad unavailable") {
+		t.Fatalf("in-process walk of %d children ended with Err() = %v", local, doc.Err())
+	}
+
+	for _, batch := range []int{0, -1} {
+		c := dialFlat(t, med, nil, wire.ClientConfig{BatchSize: batch})
+		root, err := c.Open("badv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := root.Down()
+		seen := 0
+		for err == nil && n != nil {
+			seen++
+			var next *wire.RemoteNode
+			next, err = n.Right()
+			_ = n.Release()
+			n = next
+		}
+		if err == nil || !strings.Contains(err.Error(), "source &bad unavailable") {
+			t.Fatalf("BatchSize %d: remote walk of %d children ended with err = %v", batch, seen, err)
+		}
+		if seen != local {
+			t.Fatalf("BatchSize %d: remote walk saw %d children before the failure, in process %d", batch, seen, local)
+		}
+		_ = root.Release()
+	}
+
+	c := dialFlat(t, med, nil, wire.ClientConfig{})
+	root, err := c.Open("badv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := wire.NewRemoteDoc("&remote", root).Open(source.ScanOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanned := 0
+	for {
+		_, ok, err := cur.Next()
+		var unavailable *source.SourceUnavailableError
+		if errors.As(err, &unavailable) {
+			break
+		}
+		if err != nil || !ok {
+			t.Fatalf("remote scan ended after %d children with ok = %v, err = %v", scanned, ok, err)
+		}
+		scanned++
+	}
+	cur.Close()
+	_ = root.Release()
+	if scanned != local {
+		t.Fatalf("remote scan saw %d children before the failure, in process %d", scanned, local)
 	}
 }

@@ -68,15 +68,18 @@ type Config struct {
 	// client's configured batch size); 1 or negative forces one round trip
 	// per child — the pure single-step model.
 	BatchSize int
-	// Prefetch asks batch-capable sources to keep one batch in flight ahead
-	// of the engine's consumption.
+	// Prefetch tells batch-capable sources the scan will be drained: after
+	// the one-frame first batch, every batch asks for the BatchSize cap
+	// instead of doubling toward it. It starts no goroutine; background
+	// read-ahead comes with Parallelism.
 	Prefetch bool
 	// Parallelism caps the goroutines one query execution may use for
 	// intra-query parallelism (exchange producers, concurrent federated
 	// source access), counting the consumer. 0 or 1 keeps evaluation
 	// strictly sequential — today's exact demand-driven protocol; values
-	// above 1 overlap source access and join input evaluation, and imply
-	// Prefetch for batch-capable sources.
+	// above 1 overlap source access and join input evaluation (remote scans
+	// read ahead on a producer goroutine), and imply Prefetch for
+	// batch-capable sources.
 	Parallelism int
 	// ExchangeBuffer bounds each exchange operator's tuple buffer (the
 	// producer/consumer backpressure window). 0 means the engine default.

@@ -11,6 +11,12 @@ import "sync"
 // asks for the cap. Background read-ahead is not the window's job; a scan
 // that wants it runs through source.Ahead (OpenAhead, the shard pumps).
 //
+// The window belongs to its parent (RemoteNode.kids) and lives while the
+// parent holds the live handle it was filled under: the server memoizes a
+// document's children per handle, so a later descent walks the seats already
+// held and fetches only past them. A seat whose node was released is handed
+// out again as a handleless copy (gen -1), as a node-cache seat is.
+//
 // Concurrency: get fetches on the calling goroutine with w.mu held across
 // the round trip, so concurrent getters wait on w.mu and find the batch
 // seated. The lock order is batchWindow.mu → RemoteNode.mu → Client.mu.
@@ -62,10 +68,21 @@ func (w *batchWindow) get(i int) (*RemoteNode, error) {
 			return nil, err
 		}
 	}
-	if i < len(w.nodes) {
-		return w.nodes[i], nil
+	if i >= len(w.nodes) {
+		return nil, nil
 	}
-	return nil, nil
+	n := w.nodes[i]
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.released {
+		return n, nil
+	}
+	// The seat's handle went back to the server: hand out a handleless copy,
+	// whose first op that needs a handle replays children(skip=i, max=1).
+	re := &RemoteNode{c: n.c, gen: -1, label: n.label, nodeID: n.nodeID, leaf: n.leaf, value: n.value,
+		path: n.path, win: w, winIdx: i, xml: n.xml, hasXML: n.hasXML, tree: n.tree}
+	w.nodes[i] = re
+	return re, nil
 }
 
 // fetchLocked seats the window's next batch, from the node cache when it
@@ -167,13 +184,12 @@ func (w *batchWindow) cachedLocked(skip int) (frames []NodeFrame, complete bool)
 }
 
 // abandon releases the window's undelivered seats (cursor Close): seats past
-// the last delivered index are queued for piggybacked release, and the
-// window fetches nothing more. Delivered nodes are untouched — their owners
-// release them.
+// the last delivered index are queued for piggybacked release. Delivered
+// nodes are untouched — their owners release them. The window stays open: a
+// later descent re-seats the released seats and fetches past them.
 func (w *batchWindow) abandon() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.complete = true
 	for i := w.delivered + 1; i < len(w.nodes); i++ {
 		n := w.nodes[i]
 		n.mu.Lock()

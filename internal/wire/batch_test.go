@@ -11,6 +11,7 @@ import (
 	"mix/internal/source"
 	"mix/internal/testleak"
 	"mix/internal/wire"
+	"mix/internal/xtree"
 )
 
 // flatXML builds a document with n flat <item> children.
@@ -465,4 +466,184 @@ func TestWindowConcurrentGetters(t *testing.T) {
 	if n := srv.LiveHandles(); n != 0 {
 		t.Fatalf("%d server handles live after every node was released", n)
 	}
+}
+
+// drainDoc scans doc through a remote cursor and returns the children's ids
+// and subtrees in order. A scan with stop > 0 is closed after that many
+// children. A failure is reported with Errorf, so goroutines may scan.
+func drainDoc(tb testing.TB, doc *wire.RemoteDoc, stop int) (ids []string, trees []*xtree.Node) {
+	tb.Helper()
+	cur, err := doc.Open(source.ScanOpts{})
+	if err != nil {
+		tb.Errorf("open: %v", err)
+		return nil, nil
+	}
+	defer cur.Close()
+	for stop <= 0 || len(ids) < stop {
+		n, ok, err := cur.Next()
+		if err != nil {
+			tb.Errorf("scan: %v", err)
+			return ids, trees
+		}
+		if !ok {
+			break
+		}
+		ids, trees = append(ids, string(n.ID)), append(trees, n)
+	}
+	return ids, trees
+}
+
+// openFlat serves a flat view of n children on a fresh server and opens it.
+func openFlat(tb testing.TB, n int) (*wire.Client, *wire.Server, *wire.RemoteNode) {
+	tb.Helper()
+	var srv *wire.Server
+	c := dialFlat(tb, flatMediator(tb, n), func(s *wire.Server) { srv = s }, wire.ClientConfig{})
+	root, err := c.Open("flatv")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c, srv, root
+}
+
+// releaseAll releases root, sends the piggybacked releases and checks that
+// the server holds no handle of the session.
+func releaseAll(tb testing.TB, c *wire.Client, srv *wire.Server, root *wire.RemoteNode) {
+	tb.Helper()
+	if err := root.Release(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.Ping(); err != nil {
+		tb.Fatal(err)
+	}
+	if n := srv.LiveHandles(); n != 0 {
+		tb.Fatalf("%d server handles live after every node was released", n)
+	}
+}
+
+// TestWindowRescanDrainedIsFree: a node's window is its own, so scanning a
+// drained node again — through a remote cursor or with Down/Right — costs no
+// round trip, returns the same children in the same order, and hands over
+// the subtrees the first scan parsed.
+func TestWindowRescanDrainedIsFree(t *testing.T) {
+	c, srv, root := openFlat(t, 40)
+	doc := wire.NewRemoteDoc("&remote", root)
+	ids, trees := drainDoc(t, doc, 0)
+	if len(ids) != 40 {
+		t.Fatalf("first scan saw %d children, want 40", len(ids))
+	}
+	before := c.WireStats().RequestsSent
+	again, againTrees := drainDoc(t, doc, 0)
+	if strings.Join(again, ",") != strings.Join(ids, ",") {
+		t.Fatalf("rescan saw %v, first scan %v", again, ids)
+	}
+	for i := range trees {
+		if againTrees[i] != trees[i] {
+			t.Fatalf("rescan re-parsed child %d", i)
+		}
+	}
+	var walked []string
+	n, err := root.Down()
+	for ; err == nil && n != nil; n, err = n.Right() {
+		walked = append(walked, n.ID())
+		_ = n.Release()
+	}
+	if err != nil || strings.Join(walked, ",") != strings.Join(ids, ",") {
+		t.Fatalf("Down/Right rescan saw %v (%v), first scan %v", walked, err, ids)
+	}
+	if trips := c.WireStats().RequestsSent - before; trips != 0 {
+		t.Fatalf("two rescans of a drained node took %d round trips, want 0", trips)
+	}
+	releaseAll(t, c, srv, root)
+}
+
+// TestWindowPartialScanThenRescan: a scan closed after five children leaves
+// its window open on the root. A rescan re-seats the frames already fetched
+// — released by the first scan's consumer or by Close — and fetches only
+// past them, so every child crosses the wire once and the rescan still
+// returns all of them in order.
+func TestWindowPartialScanThenRescan(t *testing.T) {
+	_, _, ref := openFlat(t, 40)
+	want, _ := drainDoc(t, wire.NewRemoteDoc("&remote", ref), 0)
+
+	c, srv, root := openFlat(t, 40)
+	doc := wire.NewRemoteDoc("&remote", root)
+	if first, _ := drainDoc(t, doc, 5); len(first) != 5 {
+		t.Fatalf("partial scan saw %d children, want 5", len(first))
+	}
+	got, _ := drainDoc(t, doc, 0)
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("rescan after a partial scan saw %v, want %v", got, want)
+	}
+	if frames := c.WireStats().FramesBatched; frames != 40 {
+		t.Fatalf("two scans of 40 children fetched %d frames, want each child once", frames)
+	}
+	releaseAll(t, c, srv, root)
+}
+
+// TestWindowDownFromReleasedChild: a child released during the first walk is
+// handed out again without a handle, and descending from it costs exactly
+// one replay round trip (children(skip=0, max=1) from the root) besides the
+// batch that opens its own window.
+func TestWindowDownFromReleasedChild(t *testing.T) {
+	c, srv, root := openFlat(t, 12)
+	n, err := root.Down()
+	for ; err == nil && n != nil; n, err = n.Right() {
+		_ = n.Release()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.WireStats()
+	child, err := root.Down()
+	if err != nil || child == nil || child.Label() != "It" {
+		t.Fatalf("rescan's first child: %v, %v", child, err)
+	}
+	item, err := child.Down()
+	if err != nil || item == nil || item.Label() != "item" {
+		t.Fatalf("descend from a released child: %v, %v", item, err)
+	}
+	after := c.WireStats()
+	if trips, batches := after.RequestsSent-before.RequestsSent, after.BatchesFetched-before.BatchesFetched; trips != 2 || batches != 1 {
+		t.Fatalf("descending from a released child took %d round trips (%d batches), want 2: one replay, one batch", trips, batches)
+	}
+	_ = item.Release()
+	_ = child.Release()
+	releaseAll(t, c, srv, root)
+}
+
+// TestWindowConcurrentRescan: after a partial scan, goroutines rescanning one
+// node at once all see every child in order and share one subtree per child,
+// and the window fetches each child once.
+func TestWindowConcurrentRescan(t *testing.T) {
+	c, srv, root := openFlat(t, 40)
+	doc := wire.NewRemoteDoc("&remote", root)
+	drainDoc(t, doc, 5)
+	ids := make([][]string, 4)
+	trees := make([][]*xtree.Node, len(ids))
+	var wg sync.WaitGroup
+	for g := range ids {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ids[g], trees[g] = drainDoc(t, doc, 0)
+		}(g)
+	}
+	wg.Wait()
+	if len(ids[0]) != 40 {
+		t.Fatalf("rescan 0 saw %d children, want 40", len(ids[0]))
+	}
+	for g := range ids {
+		if strings.Join(ids[g], ",") != strings.Join(ids[0], ",") {
+			t.Fatalf("rescan %d saw %v, rescan 0 saw %v", g, ids[g], ids[0])
+		}
+		for i := range trees[g] {
+			if trees[g][i] != trees[0][i] {
+				t.Fatalf("rescans %d and 0 parsed child %d twice", g, i)
+			}
+		}
+	}
+	if frames := c.WireStats().FramesBatched; frames != 40 {
+		t.Fatalf("five scans of 40 children fetched %d frames, want each child once", frames)
+	}
+	releaseAll(t, c, srv, root)
 }

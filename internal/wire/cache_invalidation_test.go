@@ -6,6 +6,7 @@ import (
 
 	"mix"
 	"mix/internal/relstore"
+	"mix/internal/wire"
 	"mix/internal/workload"
 )
 
@@ -64,5 +65,66 @@ RETURN <C> $C </C>`); err != nil {
 				})
 			}
 		}
+	}
+}
+
+// TestWindowRescanAfterRedialSeesNewRows: a node keeps its window only while
+// the handle it was filled under is live. On that handle a rescan returns the
+// list the server memoized, even after an insert; once the connection has
+// been redialed, a descent lists the children afresh and sees the row
+// inserted meanwhile — from a root still holding its dead handle, and from
+// one that another op has already replayed onto the new connection.
+func TestWindowRescanAfterRedialSeesNewRows(t *testing.T) {
+	db := workload.PaperDB()
+	med := mix.New()
+	med.AddRelationalSource(db)
+	if _, err := med.DefineView("custv", `
+FOR $C IN document(&db1.customer)/customer
+RETURN <C> $C </C>`); err != nil {
+		t.Fatal(err)
+	}
+	e := newEndpoint(med)
+	c := dialEndpoint(t, e, fastCfg())
+	count := func(root *wire.RemoteNode) int {
+		t.Helper()
+		k := 0
+		n, err := root.Down()
+		for ; err == nil && n != nil; n, err = n.Right() {
+			k++
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	var roots []*wire.RemoteNode
+	for range 2 {
+		root, err := c.Open("custv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := count(root); got != 2 {
+			t.Fatalf("first walk saw %d customers, want 2", got)
+		}
+		roots = append(roots, root)
+	}
+	db.MustInsert("customer", relstore.Str("GHI678"), relstore.Str("GHILtd."), relstore.Str("Chicago"))
+	if got := count(roots[0]); got != 2 {
+		t.Fatalf("a rescan on the same handle saw %d customers, want the memoized 2", got)
+	}
+	e.killConn()
+	if err := c.Ping(); err != nil { // observes the dead connection and redials
+		t.Fatal(err)
+	}
+	if _, err := roots[1].Materialize(); err != nil { // replays roots[1]
+		t.Fatal(err)
+	}
+	for i, root := range roots {
+		if got := count(root); got != 3 {
+			t.Fatalf("root %d: a descent after the redial saw %d customers, want 3", i, got)
+		}
+	}
+	if c.Redials() == 0 {
+		t.Fatal("the killed connection never forced a redial")
 	}
 }

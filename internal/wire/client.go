@@ -9,6 +9,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"mix/internal/xtree"
 )
 
 // Defaults for ClientConfig's zero values.
@@ -396,11 +398,14 @@ func NewClientConfig(conn io.ReadWriteCloser, cfg ClientConfig) *Client {
 	return c
 }
 
-// Close closes the connection; further ops fail with ErrClientClosed.
+// Close closes the connection; further ops fail with ErrClientClosed. The
+// client's buffers go with it: a closed client may stay referenced (by a
+// RemoteDoc in a catalog, a shard's member list) long after.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
+	c.in, c.binBuf, c.pendingRelease = nil, nil, nil
 	return c.conn.Close()
 }
 
@@ -500,6 +505,13 @@ func (c *Client) resumeLocked() error {
 		c.resumes++
 	}
 	return nil
+}
+
+// liveGen returns the connection generation without reconnecting.
+func (c *Client) liveGen() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gen
 }
 
 // currentGen returns the live connection generation, reconnecting first if
@@ -932,6 +944,7 @@ func (c *Client) replayLocked(n *RemoteNode, gen int64) error {
 	}
 	n.handle = handle
 	n.gen = gen
+	n.kids = nil // the new handle's children are the server's to list afresh
 	return nil
 }
 
@@ -967,18 +980,22 @@ type RemoteNode struct {
 
 	label  string
 	nodeID string
-	leaf   bool
 	value  string
+	leaf   bool
+	hasXML bool // xml is set: the two bools share a word, keeping the struct in its size class
 	path   nodePath
 
 	// win/winIdx seat the node in the batch window that produced it: Right
 	// takes the next seat, paying a round trip only when it ends a batch.
 	win    *batchWindow
 	winIdx int
+	// kids is the window over this node's own children, opened by its first
+	// DownScan and kept until Release (n.mu).
+	kids *batchWindow
 	// xml caches the subtree shipped by a Deep batch; Materialize is then
-	// free.
-	xml    string
-	hasXML bool
+	// free. tree is that subtree as remoteCursor parsed it (n.mu).
+	xml  string
+	tree *xtree.Node
 }
 
 // Handle exposes the protocol handle (diagnostics).
@@ -1015,10 +1032,11 @@ func (n *RemoteNode) Value() (string, bool) {
 	return n.value, true
 }
 
-// Release frees the node's server-side handle (the protocol's close op).
-// Sessions bound their handle tables, so long-lived clients must release
-// nodes they are done with; remoteCursor does this automatically. Safe on
-// nil and after connection loss (old handles die with the old session).
+// Release frees the node's server-side handle (the protocol's close op) and
+// drops the window over its children. Sessions bound their handle tables, so
+// long-lived clients must release nodes they are done with; remoteCursor does
+// this automatically. Safe on nil and after connection loss (old handles die
+// with the old session).
 func (n *RemoteNode) Release() error {
 	if n == nil {
 		return nil
@@ -1029,6 +1047,7 @@ func (n *RemoteNode) Release() error {
 		return nil
 	}
 	n.released = true
+	n.kids = nil
 	h, gen := n.handle, n.gen
 	c := n.c
 	c.mu.Lock()
@@ -1089,7 +1108,9 @@ func (n *RemoteNode) Down() (*RemoteNode, error) { return n.DownScan(ScanConfig{
 // frames from an adaptive window that starts at one frame and doubles
 // toward the batch-size cap while consumption continues — the paper's
 // navigation-driven demand is the prefetch signal, so first-answer latency
-// stays lazy and long scans amortize round trips.
+// stays lazy and long scans amortize round trips. The window is the node's:
+// a later DownScan that asks for no deeper frames walks the seats it holds,
+// and a rescan of a drained node costs no round trip.
 func (n *RemoteNode) DownScan(sc ScanConfig) (*RemoteNode, error) {
 	if n == nil {
 		return nil, fmt.Errorf("wire: navigation from ⊥")
@@ -1101,7 +1122,17 @@ func (n *RemoteNode) DownScan(sc ScanConfig) (*RemoteNode, error) {
 	if size <= 1 {
 		return n.step("down")
 	}
-	return newBatchWindow(n.c, n, size, sc.Prefetch || n.c.cfg.Prefetch, sc.Deep).get(0)
+	n.mu.Lock()
+	w := n.kids
+	// The window serves only the live handle it was filled under: a node
+	// whose handle died with its connection, or a handleless one, has its
+	// children listed afresh.
+	if w == nil || sc.Deep && !w.deep || n.gen != n.c.liveGen() {
+		w = newBatchWindow(n.c, n, size, sc.Prefetch || n.c.cfg.Prefetch, sc.Deep)
+		n.kids = w
+	}
+	n.mu.Unlock()
+	return w.get(0)
 }
 
 // Right evaluates r at the mediator. A node produced by a batched scan takes

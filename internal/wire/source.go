@@ -15,9 +15,11 @@ import (
 // navigation turns into wire round trips, which turn into demand-driven
 // source access at the lower mediator.
 //
-// As with the in-process variant, laziness is preserved across top-level
-// children (one remote child is fetched per pull); within one child the
-// subtree is materialized on first visit.
+// Laziness is preserved across top-level children: the children arrive in
+// the root's batch window, fetched when a pull reaches a child the window
+// lacks, each frame carrying its subtree. The window belongs to the root, so
+// a second scan of the same root walks the frames already held and fetches
+// only past them.
 //
 // Failure policy: any failure to reach the lower mediator (transport
 // error, circuit open, server rejection) surfaces from the cursor as a
@@ -102,6 +104,9 @@ func (d *RemoteDoc) Open(opts source.ScanOpts) (source.ElemCursor, error) {
 	return open()
 }
 
+// remoteCursor scans a remote root's children through the root's batch
+// window and hands over each child's subtree as a local tree, which it keeps
+// on the child's node for the next scan.
 type remoteCursor struct {
 	src  string
 	next *RemoteNode // the child Next returns, once last has stepped to it
@@ -128,21 +133,34 @@ func (c *remoteCursor) Next() (*xtree.Node, bool, error) {
 		return nil, false, nil
 	}
 	cur := c.next
-	xml, err := cur.Materialize()
-	if err != nil {
-		return nil, false, c.unavailable(err)
+	cur.mu.Lock()
+	n := cur.tree
+	cur.mu.Unlock()
+	if n == nil {
+		xml, err := cur.Materialize()
+		if err != nil {
+			return nil, false, c.unavailable(err)
+		}
+		// The XML serialization drops interior object ids; re-id the subtree
+		// deterministically under the remote root id so node identity (skolem
+		// arguments, duplicate elimination) stays meaningful locally.
+		if n, err = xmlio.ParseWith(xml, xmlio.Options{
+			IDPrefix: strings.TrimPrefix(cur.ID(), "&"),
+		}); err != nil {
+			return nil, false, fmt.Errorf("wire: remote subtree: %w", err)
+		}
+		// Preserve the remote object id on the subtree root itself.
+		n.ID = xtree.ID(cur.ID())
+		// Keep the tree on the node, so a rescan of the window neither
+		// round-trips nor re-parses. Scans share it, as every scan of an
+		// in-process XML source shares that source's tree.
+		cur.mu.Lock()
+		if cur.tree == nil {
+			cur.tree = n
+		}
+		n = cur.tree
+		cur.mu.Unlock()
 	}
-	// The XML serialization drops interior object ids; re-id the subtree
-	// deterministically under the remote root id so node identity (skolem
-	// arguments, duplicate elimination) stays meaningful locally.
-	n, err := xmlio.ParseWith(xml, xmlio.Options{
-		IDPrefix: strings.TrimPrefix(cur.ID(), "&"),
-	})
-	if err != nil {
-		return nil, false, fmt.Errorf("wire: remote subtree: %w", err)
-	}
-	// Preserve the remote object id on the subtree root itself.
-	n.ID = xtree.ID(cur.ID())
 	c.next, c.last = nil, cur
 	return n, true, nil
 }
@@ -154,7 +172,8 @@ func (c *remoteCursor) unavailable(err error) error {
 // Close releases the cursor's outstanding server-side handle — the child
 // Next returned last, or the one it would return next — and abandons its
 // batch window (frames fetched but not yet handed over are queued for
-// piggybacked release, so partial scans leak no handles).
+// piggybacked release, so partial scans leak no handles). The window stays
+// the root's: a later scan re-seats those frames without a round trip.
 func (c *remoteCursor) Close() {
 	held := c.next
 	if held == nil {

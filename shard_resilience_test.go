@@ -143,21 +143,23 @@ func TestShardMemberLossMidQuery(t *testing.T) {
 // TestShardFanOutLatencyBound is E21's gate. Every member connection carries
 // 2 ms of injected latency per I/O, so a scan's wall clock is round trips ×
 // latency: a 3-member fleet, one pump per member, must scan 120 customers at
-// least 2× faster than one member serving them all (best of 3), answer
-// byte-identically, and route a point query on the partition key to exactly
-// one member. Batches of 2 keep the scan at some 60 round trips against
-// little CPU, so the ratio (2.6× measured) is sleep-bound and holds under
-// -race and on a loaded host.
+// least 2× faster than one member serving them all (best of 3 freshly built
+// fleets: a member root keeps the children it fetched, so a second scan over
+// one mount costs no round trip and times nothing), answer byte-identically,
+// and route a point query on the partition key to exactly one member.
+// Batches of 2 keep the scan at some 60 round trips against little CPU, so
+// the ratio (2.6× measured) is sleep-bound and holds under -race and on a
+// loaded host.
 func TestShardFanOutLatencyBound(t *testing.T) {
 	cfg := mix.Config{Parallelism: 8, BatchSize: 2, Prefetch: true}
 	slow := func(int) faultnet.Config {
 		return faultnet.Config{LatencyProb: 1, Latency: 2 * time.Millisecond}
 	}
 	scan := func(k int) (string, time.Duration) {
-		med, _, _ := buildShardFleet(t, cfg, k, 120, slow)
 		var answer string
 		var best time.Duration
 		for run := 0; run < 3; run++ {
+			med, _, _ := buildShardFleet(t, cfg, k, 120, slow)
 			start := time.Now()
 			doc, err := med.Query("FOR $C IN document(&fleet)/customer RETURN $C")
 			if err != nil {
@@ -203,4 +205,57 @@ func TestShardFanOutLatencyBound(t *testing.T) {
 	if routed != 1 || st.Pruned == 0 {
 		t.Fatalf("point query on the partition key routed to %d members, pruned %d scans; want 1 member, pruned", routed, st.Pruned)
 	}
+}
+
+// TestFleetWireShape pins the benchmark fleet's wire shape: 3 members over
+// 240 customers, a scan and then a point query on the partition key, both at
+// `mixql -shards`'s configuration. Each member pays its open and the three
+// batches of its scan (1, then 64, then the rest), and nothing more: the
+// point query's routed member rescans the root it drained a moment earlier,
+// whose window already holds every child. Both answers equal the unsharded
+// mediator's.
+func TestFleetWireShape(t *testing.T) {
+	const scanQ = "FOR $C IN document(&fleet)/customer RETURN $C"
+	const pointQ = `FOR $C IN document(&fleet)/customer WHERE $C/id/data() = "C000007" RETURN $C`
+	none := func(int) faultnet.Config { return faultnet.Config{} }
+	med, fleet, counts := buildShardFleet(t, mix.Config{Parallelism: 4, Prefetch: true}, 3, 240, none)
+	whole := mix.New()
+	whole.AddRelationalSource(workload.ScaleDB("db1", 240, 1, 42))
+	if err := whole.AliasSource("&fleet", "&db1.customer"); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{scanQ, pointQ} {
+		want, got := queryXML(t, whole, q), queryXML(t, med, q)
+		if got != want {
+			t.Fatalf("%s: the fleet answered\n%s\nthe unsharded mediator\n%s", q, got, want)
+		}
+	}
+	if routed := len(fleet.Stats().Routes); routed == 0 {
+		t.Fatal("no scan reached a member")
+	}
+	members := med.HealthReport().Wire
+	if len(members) != 3 {
+		t.Fatalf("wire counters for %d endpoints, want the 3 members", len(members))
+	}
+	for id, ts := range members {
+		if ts.RoundTrips != 4 {
+			t.Errorf("member %s (of %v customers) made %d round trips, want 4: open + 3 scan batches", id, counts, ts.RoundTrips)
+		}
+	}
+}
+
+// queryXML runs q to the end and serializes its answer, which names no
+// object ids: a sharded and an unsharded answer compare equal.
+func queryXML(t *testing.T, med *mix.Mediator, q string) string {
+	t.Helper()
+	doc, err := med.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer doc.Close()
+	m := doc.Materialize()
+	if err := doc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return mix.SerializeXML(m)
 }

@@ -118,10 +118,9 @@ func (p *Program) Plan() xmas.Op { return p.plan }
 // Result is the virtual answer document of a query: a root element labeled
 // "list" whose children materialize only as navigation reaches them.
 type Result struct {
-	Root    *Elem
-	err     *error
-	exec    *execState
-	partial *[]*source.SourceUnavailableError
+	Root *Elem
+	err  *error
+	exec *execState
 }
 
 // Close cancels and joins every producer goroutine the execution still has
@@ -145,21 +144,6 @@ func (r *Result) Err() error {
 		return nil
 	}
 	return *r.err
-}
-
-// Unavailable lists the sources that dropped out mid-scan when the program
-// ran under Options.PartialResults (each also appears as a
-// SourceUnavailable annotation element in the result). Empty under the
-// default fail-fast policy.
-func (r *Result) Unavailable() []*source.SourceUnavailableError {
-	if r.partial == nil {
-		return nil
-	}
-	r.exec.mu.Lock()
-	defer r.exec.mu.Unlock()
-	out := make([]*source.SourceUnavailableError, len(*r.partial))
-	copy(out, *r.partial)
-	return out
 }
 
 // Materialize forces the whole result into a plain tree — the behaviour of
@@ -245,7 +229,7 @@ func (p *Program) start(ctx *Ctx) *Result {
 		}
 	})
 	root := NewElem(p.rootID, "list", kids)
-	return &Result{Root: root, err: &runErr, exec: ctx.exec, partial: ctx.partial}
+	return &Result{Root: root, err: &runErr, exec: ctx.exec}
 }
 
 // CompileFragment compiles a non-tD subplan into a cursor factory — a

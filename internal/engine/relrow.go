@@ -8,6 +8,7 @@ import (
 	"mix/internal/relstore"
 	"mix/internal/source"
 	"mix/internal/xmas"
+	"mix/internal/xtree"
 )
 
 // This file is rQ, the relational source-access operator, as a batch
@@ -138,6 +139,18 @@ func (b *rowBody) children() *LazyList[*Elem] {
 		return b.kids.Load()
 	}
 	return l
+}
+
+// appendColumns writes the tuple's column elements in the tree encoding
+// without building them.
+func (b *rowBody) appendColumns(dst []byte) []byte {
+	var buf [32]byte
+	for _, c := range b.spec.cols {
+		dst = xtree.AppendTreeNode(dst, xtree.TreeElem, c.label)
+		dst = xtree.AppendTreeNode(dst, xtree.TreeLeaf, b.row.vals[c.pos].AppendText(buf[:0]))
+		dst = append(dst, xtree.TreeEnd)
+	}
+	return dst
 }
 
 // rowRef binds variable v to the element spec names in a result row.

@@ -163,6 +163,30 @@ func (e *Elem) Materialize() *xtree.Node {
 	return n
 }
 
+// AppendTree appends the subtree in the tree encoding (xtree.TreeElem),
+// forcing it as Materialize does. A relational row whose column elements
+// nobody has asked for is written straight from the row.
+func (e *Elem) AppendTree(b []byte) []byte {
+	if e.leaf {
+		return xtree.AppendTreeNode(b, xtree.TreeLeaf, e.Label)
+	}
+	at, n := len(b), 0
+	b = xtree.AppendTreeNode(b, xtree.TreeElem, e.Label)
+	if e.body != nil && e.body.kids.Load() == nil {
+		b, n = e.body.appendColumns(b), len(e.body.spec.cols)
+	} else {
+		kids := e.Kids()
+		for k, ok := kids.Get(0); ok; k, ok = kids.Get(n) {
+			b, n = k.AppendTree(b), n+1
+		}
+	}
+	if n == 0 {
+		b[at] = xtree.TreeLeaf // a childless element is a leaf, as in Materialize
+		return b
+	}
+	return append(b, xtree.TreeEnd)
+}
+
 // String forces and renders the subtree compactly (tests, diagnostics).
 func (e *Elem) String() string {
 	if e == nil {

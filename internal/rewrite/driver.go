@@ -141,15 +141,6 @@ func optimize(plan xmas.Op, opts Options, traced bool) (xmas.Op, []Step, error) 
 	return cur, trace, nil
 }
 
-// MustOptimize panics on error; fixtures and benchmarks.
-func MustOptimize(plan xmas.Op, opts Options) xmas.Op {
-	out, _, err := Optimize(plan, opts)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // rule is one rewrite rule. It fires at a specific site; renames apply to
 // the whole plan afterwards ("the only change made in the rest of the plan
 // ... is the possible renaming of variables").

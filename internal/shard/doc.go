@@ -93,9 +93,6 @@ func (d *Doc) RootID() string { return d.id }
 // Spec returns the partitioning spec.
 func (d *Doc) Spec() Spec { return d.spec }
 
-// Members returns the member list (index == shard index).
-func (d *Doc) Members() []Member { return d.members }
-
 // ShardCount reports the fleet size to the cost model.
 func (d *Doc) ShardCount() int { return len(d.members) }
 

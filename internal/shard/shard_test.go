@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"mix/internal/shard"
@@ -190,6 +191,25 @@ func TestShardOf(t *testing.T) {
 	// engine's comparison semantics.
 	if h.ShardOf("10") != h.ShardOf("10.0") {
 		t.Fatal("numeric keys must normalize before hashing")
+	}
+}
+
+// TestNormalizeKey: numeric keys normalise as strconv.ParseFloat reads them,
+// anything else is taken verbatim, and a non-numeric key costs no
+// allocation (a throwaway *strconv.NumError used to, on every routed key).
+func TestNormalizeKey(t *testing.T) {
+	for _, key := range []string{"42", "042", "4.20", "1e3", "-0", "+7", ".5", "0x10", "nan", "NaN", "inf",
+		"-Inf", "infinity", "1_0", "1e", "12ab", "C000042", "now", "", " 1"} {
+		want := key
+		if f, err := strconv.ParseFloat(key, 64); err == nil {
+			want = strconv.FormatFloat(f, 'g', -1, 64)
+		}
+		if got := shard.NormalizeKey(key); got != want {
+			t.Errorf("NormalizeKey(%q) = %q, want %q", key, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { shard.NormalizeKey("C000042") }); n != 0 {
+		t.Fatalf("NormalizeKey of a non-numeric key: %v allocations, want 0", n)
 	}
 }
 

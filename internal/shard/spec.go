@@ -110,7 +110,7 @@ func (s Spec) ShardOf(key string) int {
 // numerically equal atoms map to one key, everything else is taken
 // verbatim.
 func NormalizeKey(key string) string {
-	if f, err := strconv.ParseFloat(key, 64); err == nil {
+	if f, ok := xtree.ParseNumber(key); ok {
 		return strconv.FormatFloat(f, 'g', -1, 64)
 	}
 	return key

@@ -85,15 +85,6 @@ func defaultOrderBys(op xmas.Op) xmas.Op {
 	return xmas.MapInputs(op, defaultOrderBys)
 }
 
-// MustPush panics on error; fixtures and benchmarks.
-func MustPush(plan xmas.Op, cat *source.Catalog) xmas.Op {
-	out, err := Push(plan, cat)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // pushWalk rebuilds the plan top-down, converting the largest convertible
 // subtrees first.
 func pushWalk(op xmas.Op, cat *source.Catalog) xmas.Op {

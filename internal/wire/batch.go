@@ -80,7 +80,7 @@ func (w *batchWindow) get(i int) (*RemoteNode, error) {
 	// The seat's handle went back to the server: hand out a handleless copy,
 	// whose first op that needs a handle replays children(skip=i, max=1).
 	re := &RemoteNode{c: n.c, gen: -1, label: n.label, nodeID: n.nodeID, leaf: n.leaf, value: n.value,
-		path: n.path, win: w, winIdx: i, xml: n.xml, hasXML: n.hasXML, tree: n.tree}
+		path: n.path, win: w, winIdx: i, enc: n.enc, hasEnc: n.hasEnc, tree: n.tree}
 	w.nodes[i] = re
 	return re, nil
 }
@@ -127,8 +127,8 @@ func (w *batchWindow) seatLocked(frames []NodeFrame, gen int64, complete bool) {
 			win:    w,
 			winIdx: len(w.nodes),
 		}
-		if w.deep || f.XML != "" {
-			n.xml, n.hasXML = f.XML, true
+		if w.deep || f.Tree != "" {
+			n.enc, n.hasEnc = f.Tree, true
 		}
 		w.nodes = append(w.nodes, n)
 	}
@@ -149,7 +149,7 @@ func (w *batchWindow) seatLocked(frames []NodeFrame, gen int64, complete bool) {
 // nothing when the network must serve the batch. Cached frames carry no
 // handle (gen -1): the first op that needs a server-side handle replays the
 // node's child path — the same lazy re-acquisition a redial uses — so a
-// walk that only reads piggybacked labels/values/XML never pays a round
+// walk that only reads piggybacked labels/values/subtrees never pays a round
 // trip per node.
 //
 // Before any cached frame is served, the window validates the server's data
@@ -162,7 +162,7 @@ func (w *batchWindow) cachedLocked(skip int) (frames []NodeFrame, complete bool)
 	}
 	// Cold check before paying a validation round trip: if nothing usable is
 	// cached at this position, the network fetch is happening anyway.
-	if f, ok := nc.frames.Peek(nodeKey{parent: w.parent.ID(), idx: skip}); !ok || (w.deep && !f.hasXML) {
+	if f, ok := nc.frames.Peek(nodeKey{parent: w.parent.ID(), idx: skip}); !ok || (w.deep && !f.hasTree) {
 		nc.misses.Add(1)
 		return nil, false
 	}

@@ -231,12 +231,13 @@ func TestDeepBatchMaterialize(t *testing.T) {
 // to those strings plus a flag byte and varints. (The JSON line protocol
 // wrote every '<', '>' and '&' of the shipped XML as six bytes, so these
 // tag-dense subtrees came to about three times their budget and the walk
-// died with ErrFrameTooLarge after 7 children.)
+// died with ErrFrameTooLarge after 7 children.) An item holds 40 <a>
+// elements, so its frame is about 400 bytes: about 8 frames a batch.
 func TestDeepBatchTagDenseWithinMaxFrame(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("<doc>")
 	for i := 0; i < 100; i++ {
-		sb.WriteString("<item>" + strings.Repeat("<a>1</a>", 20) + "</item>")
+		sb.WriteString("<item>" + strings.Repeat("<a>1</a>", 40) + "</item>")
 	}
 	sb.WriteString("</doc>")
 	med := mix.New()
@@ -254,7 +255,7 @@ func TestDeepBatchTagDenseWithinMaxFrame(t *testing.T) {
 	n, err := root.DownScan(wire.ScanConfig{BatchSize: 64, Deep: true})
 	count := 0
 	for ; err == nil && n != nil; n, err = n.Right() {
-		if xml, merr := n.Materialize(); merr != nil || strings.Count(xml, "<a>") != 20 {
+		if xml, merr := n.Materialize(); merr != nil || strings.Count(xml, "<a>") != 40 {
 			t.Fatalf("child %d: subtree %q, err %v", count, xml, merr)
 		}
 		count++

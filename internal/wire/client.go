@@ -5,11 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"time"
 
+	"mix/internal/xmlio"
 	"mix/internal/xtree"
 )
 
@@ -388,7 +389,7 @@ func NewClientConfig(conn io.ReadWriteCloser, cfg ClientConfig) *Client {
 	c := &Client{
 		cfg:     cfg,
 		breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		rng:     rand.New(rand.NewPCG(uint64(cfg.Seed), 0)),
 		conn:    conn,
 		in:      bufio.NewReaderSize(conn, frameBufSize),
 	}
@@ -658,10 +659,14 @@ func (c *Client) backoff(attempt int) {
 	if d > c.cfg.BackoffMax || d <= 0 {
 		d = c.cfg.BackoffMax
 	}
+	time.Sleep(c.jitter(d))
+}
+
+// jitter draws a sleep from [d/2, d].
+func (c *Client) jitter(d time.Duration) time.Duration {
 	c.rmu.Lock()
-	jittered := d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
-	c.rmu.Unlock()
-	time.Sleep(jittered)
+	defer c.rmu.Unlock()
+	return d/2 + time.Duration(c.rng.Int64N(int64(d/2)+1))
 }
 
 // busyBackoff sleeps before busy retry attempt k (1-based): the server's
@@ -673,10 +678,7 @@ func (c *Client) busyBackoff(attempt int, hint time.Duration) {
 	if d > c.cfg.BackoffMax || d <= 0 {
 		d = c.cfg.BackoffMax
 	}
-	c.rmu.Lock()
-	jittered := d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
-	c.rmu.Unlock()
-	time.Sleep(hint + jittered)
+	time.Sleep(hint + c.jitter(d))
 }
 
 // attemptOnce resolves the node's handle (replaying its path if the
@@ -982,7 +984,7 @@ type RemoteNode struct {
 	nodeID string
 	value  string
 	leaf   bool
-	hasXML bool // xml is set: the two bools share a word, keeping the struct in its size class
+	hasEnc bool // enc is set: the two bools share a word, keeping the struct in its size class
 	path   nodePath
 
 	// win/winIdx seat the node in the batch window that produced it: Right
@@ -992,9 +994,9 @@ type RemoteNode struct {
 	// kids is the window over this node's own children, opened by its first
 	// DownScan and kept until Release (n.mu).
 	kids *batchWindow
-	// xml caches the subtree shipped by a Deep batch; Materialize is then
-	// free. tree is that subtree as remoteCursor parsed it (n.mu).
-	xml  string
+	// enc holds the subtree a Deep batch shipped, in the tree encoding;
+	// tree is that subtree decoded, once (n.mu).
+	enc  string
 	tree *xtree.Node
 }
 
@@ -1091,9 +1093,9 @@ type ScanConfig struct {
 	// Prefetch jumps this scan's window to the cap after its first batch
 	// even when ClientConfig.Prefetch is off.
 	Prefetch bool
-	// Deep ships each frame's materialized subtree XML with the batch,
-	// pre-populating Materialize (federated source scans consume children
-	// whole, so the subtree round trip would otherwise dominate).
+	// Deep ships each frame's subtree with the batch, pre-populating
+	// Materialize (federated source scans consume children whole, so the
+	// subtree round trip would otherwise dominate).
 	Deep bool
 }
 
@@ -1164,19 +1166,36 @@ func (n *RemoteNode) QueryFrom(query string) (*RemoteNode, error) {
 	return n.c.node(resp, gen, nodePath{parent: n, query: query}), nil
 }
 
-// Materialize fetches the subtree below the node as XML. Nodes shipped by a
-// Deep batch carry their subtree already; those return it without a round
-// trip.
+// Materialize fetches the subtree below the node and renders it as XML.
+// Nodes shipped by a Deep batch carry their subtree already; those render it
+// without a round trip.
 func (n *RemoteNode) Materialize() (string, error) {
 	if n == nil {
 		return "", fmt.Errorf("wire: materialize of ⊥")
 	}
-	if n.hasXML {
-		return n.xml, nil
-	}
-	resp, _, err := n.c.do(Request{Op: "materialize"}, n)
+	t, err := n.subtree()
 	if err != nil {
 		return "", err
 	}
-	return resp.XML, nil
+	return xmlio.SerializeIndent(t), nil
+}
+
+// subtree returns the tree below the node. One a Deep batch shipped is
+// decoded once and kept, so a rescan neither round-trips nor decodes again;
+// any other node asks the mediator with the materialize op.
+func (n *RemoteNode) subtree() (t *xtree.Node, err error) {
+	n.mu.Lock()
+	if n.hasEnc {
+		defer n.mu.Unlock()
+		if n.tree == nil {
+			n.tree, err = decodeTree(n.enc, n.nodeID)
+		}
+		return n.tree, err
+	}
+	n.mu.Unlock()
+	resp, _, err := n.c.do(Request{Op: "materialize"}, n)
+	if err != nil {
+		return nil, err
+	}
+	return decodeTree(resp.Tree, n.nodeID)
 }

@@ -2,8 +2,33 @@ package wire
 
 import (
 	"errors"
+	"slices"
 	"testing"
+	"time"
 )
+
+// TestBackoffJitter: a retry sleeps between half and all of its backoff
+// step, and one seed draws one sequence.
+func TestBackoffJitter(t *testing.T) {
+	draws := func(seed int64) []time.Duration {
+		c := NewClientConfig(nil, ClientConfig{Seed: seed})
+		var out []time.Duration
+		for d := time.Duration(1); d < time.Second; d = d*3 + 1 {
+			j := c.jitter(d)
+			if j < d/2 || j > d {
+				t.Fatalf("jitter(%v) = %v, outside [%v, %v]", d, j, d/2, d)
+			}
+			out = append(out, j)
+		}
+		return out
+	}
+	if a, b := draws(7), draws(7); !slices.Equal(a, b) {
+		t.Fatalf("seed 7 drew %v, then %v", a, b)
+	}
+	if a, b := draws(7), draws(8); slices.Equal(a, b) {
+		t.Fatalf("seeds 7 and 8 drew the same %v", a)
+	}
+}
 
 // TestClosedClientHoldsNoBuffers: Close drops the read buffer, the request
 // buffer and the pending releases, which a closed client referenced from a

@@ -5,6 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
+
+	"mix/internal/xtree"
 )
 
 // This file is the wire encoding: Request/Response messages as tagged binary
@@ -55,7 +59,7 @@ const (
 	respTagValue
 	respTagIsLeaf
 	respTagNodeID
-	respTagXML
+	respTagTree
 	respTagDataVersion
 	respTagFrames
 	respTagMore
@@ -69,7 +73,7 @@ const (
 	frameFlagLabel
 	frameFlagNodeID
 	frameFlagValue
-	frameFlagXML
+	frameFlagTree
 )
 
 // ---- primitive appenders ----
@@ -273,8 +277,8 @@ func appendNodeFrame(b []byte, f *NodeFrame) []byte {
 	if f.Value != "" {
 		flags |= frameFlagValue
 	}
-	if f.XML != "" {
-		flags |= frameFlagXML
+	if f.Tree != "" {
+		flags |= frameFlagTree
 	}
 	b = append(b, flags)
 	b = appendVarint(b, f.Handle)
@@ -287,8 +291,8 @@ func appendNodeFrame(b []byte, f *NodeFrame) []byte {
 	if flags&frameFlagValue != 0 {
 		b = appendString(b, f.Value)
 	}
-	if flags&frameFlagXML != 0 {
-		b = appendString(b, f.XML)
+	if flags&frameFlagTree != 0 {
+		b = appendString(b, f.Tree)
 	}
 	return b
 }
@@ -307,8 +311,8 @@ func decodeNodeFrame(r *binReader) NodeFrame {
 	if flags&frameFlagValue != 0 {
 		f.Value = r.string()
 	}
-	if flags&frameFlagXML != 0 {
-		f.XML = r.string()
+	if flags&frameFlagTree != 0 {
+		f.Tree = r.string()
 	}
 	return f
 }
@@ -360,9 +364,9 @@ func encodeResponse(b []byte, resp *Response) []byte {
 		b = append(b, respTagNodeID)
 		b = appendString(b, resp.NodeID)
 	}
-	if resp.XML != "" {
-		b = append(b, respTagXML)
-		b = appendString(b, resp.XML)
+	if resp.Tree != "" {
+		b = append(b, respTagTree)
+		b = appendString(b, resp.Tree)
 	}
 	if resp.DataVersion != 0 {
 		b = append(b, respTagDataVersion)
@@ -422,8 +426,8 @@ func decodeResponse(payload []byte) (Response, error) {
 			resp.IsLeaf = true
 		case respTagNodeID:
 			resp.NodeID = r.string()
-		case respTagXML:
-			resp.XML = r.string()
+		case respTagTree:
+			resp.Tree = r.string()
 		case respTagDataVersion:
 			resp.DataVersion = r.varint()
 		case respTagFrames:
@@ -450,6 +454,112 @@ func decodeResponse(payload []byte) (Response, error) {
 		}
 	}
 	return resp, r.err
+}
+
+// ---- subtrees ----
+
+// TreeError reports a subtree encoding that does not decode; Off is the byte
+// the decoder stopped at.
+type TreeError struct {
+	Off int
+	Msg string
+}
+
+func (e *TreeError) Error() string { return fmt.Sprintf("wire: subtree, byte %d: %s", e.Off, e.Msg) }
+
+// treeNode reads the node or end mark at pos of a tree encoding: its kind,
+// its label (a substring of enc) and where the next one starts. A label
+// length is a minimal uvarint.
+func treeNode(enc string, pos int) (kind byte, label string, next int, err error) {
+	if kind = enc[pos]; kind == xtree.TreeEnd {
+		return kind, "", pos + 1, nil
+	} else if kind != xtree.TreeLeaf && kind != xtree.TreeElem {
+		return 0, "", 0, &TreeError{pos, fmt.Sprintf("unknown kind %d", kind)}
+	}
+	n, k := binary.Uvarint([]byte(enc[pos+1 : min(pos+1+binary.MaxVarintLen64, len(enc))]))
+	if at := pos + 1 + k; k > 0 && (k == 1 || enc[at-1] != 0) && n <= uint64(len(enc)-at) {
+		return kind, enc[at : at+int(n)], at + int(n), nil
+	}
+	return 0, "", 0, &TreeError{pos, "bad label length"}
+}
+
+// decodeTree rebuilds a subtree from its tree encoding. The root gets id and
+// every other node &<id>.<preorder index>, as xmlio numbers a parsed
+// document. Two iterative passes: the first checks the encoding and counts
+// its nodes, the second fills one slice of nodes, one of child pointers and
+// one string of ids; labels are substrings of enc.
+func decodeTree(enc, id string) (*xtree.Node, error) {
+	n, depth, prev := 0, 0, xtree.TreeEnd
+	for pos := 0; pos < len(enc); {
+		if n > 0 && depth == 0 {
+			return nil, &TreeError{pos, "a second root or trailing bytes"}
+		}
+		kind, _, next, err := treeNode(enc, pos)
+		switch {
+		case err != nil:
+			return nil, err
+		case kind == xtree.TreeEnd && depth == 0:
+			return nil, &TreeError{pos, "end mark with no open element"}
+		case kind == xtree.TreeEnd && prev == xtree.TreeElem:
+			return nil, &TreeError{pos, "element without children"}
+		case kind == xtree.TreeEnd:
+			depth--
+		case kind == xtree.TreeElem:
+			depth++
+			fallthrough
+		default:
+			n++
+		}
+		prev, pos = kind, next
+	}
+	if n == 0 || depth > 0 {
+		return nil, &TreeError{len(enc), fmt.Sprintf("%d nodes, %d elements left open", n, depth)}
+	}
+	prefix := strings.TrimPrefix(id, "&")
+	nodes, kids := make([]xtree.Node, n), make([]*xtree.Node, n-1)
+	var ids strings.Builder
+	ids.Grow((n - 1) * (len(prefix) + 2 + len(strconv.Itoa(n))))
+	var num [20]byte
+	var openBuf [16]int
+	open := openBuf[:0] // per open element, where its children start in kids
+	// kids[:q] stack the children of open elements; a closing element's run
+	// moves to kids[placed:], which fills from the end. Every node but the
+	// root sits in exactly one of the two, so they never collide.
+	q, placed := 0, n-1
+	for pos, i := 0, 0; pos < len(enc); {
+		kind, label, next, _ := treeNode(enc, pos)
+		pos = next
+		if kind == xtree.TreeEnd {
+			start := open[len(open)-1]
+			open = open[:len(open)-1]
+			parent := &nodes[0]
+			if start > 0 {
+				parent = kids[start-1]
+			}
+			placed -= q - start
+			copy(kids[placed:], kids[start:q])
+			parent.Children = kids[placed : placed+q-start : placed+q-start]
+			q = start
+			continue
+		}
+		nd := &nodes[i]
+		nd.Label, nd.ID = label, xtree.ID(id)
+		if i > 0 {
+			at := ids.Len()
+			ids.WriteByte('&')
+			ids.WriteString(prefix)
+			ids.WriteByte('.')
+			ids.Write(strconv.AppendInt(num[:0], int64(i), 10))
+			nd.ID = xtree.ID(ids.String()[at:])
+			kids[q] = nd
+			q++
+		}
+		if kind == xtree.TreeElem {
+			open = append(open, q)
+		}
+		i++
+	}
+	return &nodes[0], nil
 }
 
 // ---- binary framing ----

@@ -39,11 +39,11 @@ var responseCases = []Response{
 	{ID: 3, Busy: true, RetryAfterMs: 250},
 	{ID: 4, OK: true, Nil: true},
 	{ID: 5, OK: true, IsLeaf: true, Value: "XYZ123", Token: "tok"},
-	{ID: 6, OK: true, XML: "<a><b>x</b></a>", TuplesShipped: 17, QueriesReceived: 2},
+	{ID: 6, OK: true, Tree: "\x02\x01a\x02\x01b\x01\x01x\x00\x00", TuplesShipped: 17, QueriesReceived: 2},
 	{ID: 7, OK: true, More: true, Frames: []NodeFrame{
 		{Handle: 1, Label: "a", NodeID: "&1"},
 		{Handle: 2, Label: "b", IsLeaf: true, Value: "v"},
-		{Handle: 3, XML: "<c/>"},
+		{Handle: 3, Tree: "\x01\x01c"},
 		{Handle: -4},
 	}},
 }

@@ -24,7 +24,7 @@ type nodeKey struct {
 // exactly the machinery fault recovery already uses after a redial.
 type cachedFrame struct {
 	NodeFrame
-	hasXML bool // XML holds the subtree a deep batch shipped
+	hasTree bool // Tree holds the subtree a deep batch shipped
 	// last marks the final child: the frame arrived in a batch that reported
 	// no more siblings. It bounds completeness per frame, so the cache needs
 	// no side table of child counts; an evicted last frame simply degrades
@@ -91,8 +91,8 @@ func (nc *nodeCache) bumpEpoch() { nc.epoch.Add(1) }
 // batch's response carried — a batch whose version is no longer current is
 // dropped, so a slow fetch can never re-populate the cache with frames a
 // concurrent purge just removed. A non-deep batch overwriting a deep entry
-// keeps the previously shipped subtree XML — the navigation fields are
-// identical and the XML is the expensive part.
+// keeps the previously shipped subtree — the navigation fields are
+// identical and the subtree is the expensive part.
 func (nc *nodeCache) store(parent string, start int, frames []NodeFrame, complete, deep bool, ver int64) {
 	if parent == "" {
 		return // unaddressable parent: nothing stable to key on
@@ -105,9 +105,9 @@ func (nc *nodeCache) store(parent string, start int, frames []NodeFrame, complet
 	for i, f := range frames {
 		k := nodeKey{parent: parent, idx: start + i}
 		f.Handle = 0
-		cf := cachedFrame{NodeFrame: f, hasXML: deep, last: complete && i == len(frames)-1}
-		if old, ok := nc.frames.Peek(k); !deep && ok && old.hasXML {
-			cf.XML, cf.hasXML = old.XML, true
+		cf := cachedFrame{NodeFrame: f, hasTree: deep, last: complete && i == len(frames)-1}
+		if old, ok := nc.frames.Peek(k); !deep && ok && old.hasTree {
+			cf.Tree, cf.hasTree = old.Tree, true
 		}
 		nc.frames.Put(k, cf)
 	}
@@ -122,16 +122,16 @@ func (nc *nodeCache) store(parent string, start int, frames []NodeFrame, complet
 }
 
 // run returns the contiguous cached frames from child index start onward,
-// stopping at the first gap (or the first frame missing subtree XML when
-// needXML is set). complete reports that the run ends at the last child, so
+// stopping at the first gap (or the first frame missing its subtree when
+// needTree is set). complete reports that the run ends at the last child, so
 // the caller needs no confirming round trip. An empty run is a miss.
-func (nc *nodeCache) run(parent string, start int, needXML bool) (frames []NodeFrame, complete bool) {
+func (nc *nodeCache) run(parent string, start int, needTree bool) (frames []NodeFrame, complete bool) {
 	if parent == "" {
 		return nil, false
 	}
 	for i := start; ; i++ {
 		f, ok := nc.frames.Get(nodeKey{parent: parent, idx: i})
-		if !ok || (needXML && !f.hasXML) {
+		if !ok || (needTree && !f.hasTree) {
 			return frames, false
 		}
 		frames = append(frames, f.NodeFrame)

@@ -16,7 +16,10 @@
 // carries up to Max sibling frames, the client's adaptive read-ahead starts
 // at one frame (first-answer latency stays lazy) and grows geometrically
 // only while the client keeps scanning — navigation demand itself is the
-// prefetch signal.
+// prefetch signal. A Deep batch (federated source scans) ships each frame's
+// whole subtree in the tree encoding (xtree.TreeElem), written by the server
+// straight from the rows it holds and rebuilt by the client with no XML in
+// between.
 //
 // The protocol assumes nothing about the network: frames are length-bounded
 // (FrameTooLargeError), every client op runs under a deadline, idempotent
@@ -60,8 +63,8 @@ type Request struct {
 	// server caps it further by its own batch, handle-table and frame
 	// budgets; 0 means 1.
 	Max int
-	// Deep asks children to ship each frame's materialized subtree
-	// XML alongside the navigation fields (federated source scans).
+	// Deep asks children to ship each frame's subtree in the tree encoding
+	// alongside the navigation fields (federated source scans).
 	Deep bool
 	// Release piggybacks node handles to free before the op runs: consumed
 	// batch frames ride along on the next request instead of costing one
@@ -73,14 +76,17 @@ type Request struct {
 
 // NodeFrame is one node of a batched children response: the same
 // piggybacked navigation fields a single-step response carries, plus the
-// subtree XML under Deep.
+// subtree under Deep.
 type NodeFrame struct {
 	Handle int64
 	Label  string
 	NodeID string
 	IsLeaf bool
 	Value  string
-	XML    string
+	// Tree is the node's whole subtree in the tree encoding
+	// (xtree.TreeElem): labels and structure exactly as the mediator holds
+	// them, no ids; the client numbers the ids (see decodeTree).
+	Tree string
 }
 
 // Response answers one request.
@@ -112,7 +118,8 @@ type Response struct {
 	Value  string
 	IsLeaf bool
 	NodeID string
-	XML    string
+	// Tree answers materialize: the subtree in the tree encoding.
+	Tree string
 
 	// DataVersion is the serving mediator's monotonic data version
 	// (registrations plus every relational store's mutation count),

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"mix"
-	"mix/internal/xmlio"
 )
 
 // DefaultMaxHandles bounds one session's handle table. Handles are
@@ -335,6 +334,8 @@ type session struct {
 	// panicked holds a panic recovered while handling a request (serving
 	// goroutine only); ServeConn returns it once the error response is out.
 	panicked error
+	// tree is the buffer subtrees are encoded in (serving goroutine only).
+	tree []byte
 
 	mu       sync.Mutex
 	nodes    map[int64]sessEntry
@@ -541,7 +542,7 @@ func (s *session) handle(req Request) (resp Response) {
 		if err != nil {
 			return fail(err)
 		}
-		resp.XML = xmlio.SerializeIndent(n.Materialize())
+		resp.Tree = s.encodeTree(n)
 		return resp
 	case "close":
 		// Idempotent: releasing an unknown or already-released handle is a
@@ -557,8 +558,14 @@ func (s *session) handle(req Request) (resp Response) {
 	return fail(fmt.Errorf("unknown op %q", req.Op))
 }
 
+// encodeTree forces n's subtree and returns it in the tree encoding.
+func (s *session) encodeTree(n *mix.Node) string {
+	s.tree = n.Elem().AppendTree(s.tree[:0])
+	return string(s.tree)
+}
+
 func frameSize(f NodeFrame) int {
-	return frameOverhead + len(f.Label) + len(f.NodeID) + len(f.Value) + len(f.XML)
+	return frameOverhead + len(f.Label) + len(f.NodeID) + len(f.Value) + len(f.Tree)
 }
 
 // frameAppender accumulates a Response's Frames under the session's
@@ -633,7 +640,7 @@ func (s *session) batchResp(req Request, parent *mix.Node) Response {
 			f.Value = v
 		}
 		if req.Deep {
-			f.XML = xmlio.SerializeIndent(n.Materialize())
+			f.Tree = s.encodeTree(n)
 		}
 		if !fa.fits(f) {
 			resp.More = true

@@ -2,10 +2,8 @@ package wire
 
 import (
 	"fmt"
-	"strings"
 
 	"mix/internal/source"
-	"mix/internal/xmlio"
 	"mix/internal/xtree"
 )
 
@@ -17,9 +15,10 @@ import (
 //
 // Laziness is preserved across top-level children: the children arrive in
 // the root's batch window, fetched when a pull reaches a child the window
-// lacks, each frame carrying its subtree. The window belongs to the root, so
-// a second scan of the same root walks the frames already held and fetches
-// only past them.
+// lacks, each frame carrying its subtree in the tree encoding — labels and
+// values exactly as the lower mediator holds them. The window belongs to the
+// root, so a second scan of the same root walks the frames already held and
+// fetches only past them.
 //
 // Failure policy: any failure to reach the lower mediator (transport
 // error, circuit open, server rejection) surfaces from the cursor as a
@@ -77,8 +76,8 @@ func (d *RemoteDoc) TransferStats() source.TransferStats {
 }
 
 // Open implements source.Doc: a cursor over the remote root's children,
-// which arrive in adaptive deep batches (each frame ships its subtree XML,
-// so the per-child materialize round trip disappears too). opts.BatchSize 0
+// which arrive in adaptive deep batches (each frame ships its subtree, so
+// the per-child materialize round trip disappears too). opts.BatchSize 0
 // takes the client's configured batch size; 1 or negative falls back to one
 // round trip per step+materialize. opts.Prefetch jumps the window to the cap
 // after its one-frame first batch. Under opts.Parallel the remote open (a
@@ -105,7 +104,8 @@ func (d *RemoteDoc) Open(opts source.ScanOpts) (source.ElemCursor, error) {
 }
 
 // remoteCursor scans a remote root's children through the root's batch
-// window and hands over each child's subtree as a local tree, which it keeps
+// window and hands over each child's subtree as a local tree, decoded once
+// from its frame (decodeTree numbers the ids below the remote one) and kept
 // on the child's node for the next scan.
 type remoteCursor struct {
 	src  string
@@ -133,33 +133,9 @@ func (c *remoteCursor) Next() (*xtree.Node, bool, error) {
 		return nil, false, nil
 	}
 	cur := c.next
-	cur.mu.Lock()
-	n := cur.tree
-	cur.mu.Unlock()
-	if n == nil {
-		xml, err := cur.Materialize()
-		if err != nil {
-			return nil, false, c.unavailable(err)
-		}
-		// The XML serialization drops interior object ids; re-id the subtree
-		// deterministically under the remote root id so node identity (skolem
-		// arguments, duplicate elimination) stays meaningful locally.
-		if n, err = xmlio.ParseWith(xml, xmlio.Options{
-			IDPrefix: strings.TrimPrefix(cur.ID(), "&"),
-		}); err != nil {
-			return nil, false, fmt.Errorf("wire: remote subtree: %w", err)
-		}
-		// Preserve the remote object id on the subtree root itself.
-		n.ID = xtree.ID(cur.ID())
-		// Keep the tree on the node, so a rescan of the window neither
-		// round-trips nor re-parses. Scans share it, as every scan of an
-		// in-process XML source shares that source's tree.
-		cur.mu.Lock()
-		if cur.tree == nil {
-			cur.tree = n
-		}
-		n = cur.tree
-		cur.mu.Unlock()
+	n, err := cur.subtree()
+	if err != nil {
+		return nil, false, c.unavailable(err)
 	}
 	c.next, c.last = nil, cur
 	return n, true, nil

@@ -1,10 +1,6 @@
 package xquery
 
-import (
-	"strings"
-
-	"mix/internal/xtree"
-)
+import "mix/internal/xtree"
 
 // Query is a FOR-WHERE-RETURN expression (paper Figure 4). Queries also
 // appear nested inside element constructors ("ElementList ::= ... | Query").
@@ -136,16 +132,3 @@ func contentUsesVar(c Content, v string) bool {
 // the algebra's wildcard (xmas.Wildcard) so paths flow through translation
 // unchanged.
 const Wildcard = "%"
-
-// PathString joins path steps with '/', rendering wildcards as '*'.
-func PathString(path []string) string {
-	parts := make([]string, len(path))
-	for i, p := range path {
-		if p == Wildcard {
-			parts[i] = "*"
-		} else {
-			parts[i] = p
-		}
-	}
-	return strings.Join(parts, "/")
-}

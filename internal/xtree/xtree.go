@@ -14,6 +14,7 @@
 package xtree
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -261,4 +262,20 @@ func (n *Node) writePretty(b *strings.Builder, depth int) {
 	for _, c := range n.Children {
 		c.writePretty(b, depth+1)
 	}
+}
+
+// Tree encoding: the compact form in which a subtree crosses the wire. Nodes
+// come in preorder; each is a kind byte and its label as a uvarint length and
+// bytes, and an element's children follow it, closed by TreeEnd. An element
+// has at least one child: a childless node is a leaf. Ids are not encoded.
+const (
+	TreeEnd byte = iota
+	TreeLeaf
+	TreeElem
+)
+
+// AppendTreeNode appends a node's kind and label in the tree encoding.
+func AppendTreeNode[L string | []byte](b []byte, kind byte, label L) []byte {
+	b = binary.AppendUvarint(append(b, kind), uint64(len(label)))
+	return append(b, label...)
 }

@@ -43,6 +43,9 @@ const (
 // When no candidate beats the syntactic order by acceptFactor, the
 // original plan is returned unchanged (pointer-identical), so CostOpt off
 // versus "on but no win" produce byte-identical downstream plans.
+//
+// Semi-join chains are left alone: sqlgen.Push itself applies every filter
+// the base's own server can answer first, whatever the chain's order.
 func Reorder(plan xmas.Op, cat *source.Catalog, batch int) xmas.Op {
 	est := &Estimator{Cat: cat, Batch: batch}
 	out := plan
@@ -53,16 +56,8 @@ func Reorder(plan xmas.Op, cat *source.Catalog, batch int) xmas.Op {
 		if i >= len(regions) {
 			return out
 		}
-		region := regions[i]
-		var repl xmas.Op
-		var ok bool
-		if _, isSemi := region.(*xmas.SemiJoin); isSemi {
-			repl, ok = reorderSemiRegion(out, region, est, cat)
-		} else {
-			repl, ok = reorderRegion(out, region, est, cat)
-		}
-		if ok {
-			out = substitute(out, region, repl)
+		if repl, ok := reorderRegion(out, regions[i], est, cat); ok {
+			out = substitute(out, regions[i], repl)
 		}
 	}
 }
@@ -82,9 +77,8 @@ func chainsToJoin(op xmas.Op) bool {
 	}
 }
 
-// joinRegions returns the root of every maximal join region (join/select
-// clusters and semi-join chains) in pre-order, nested apply and view plans
-// included.
+// joinRegions returns the root of every maximal join region (a join/select
+// cluster) in pre-order, nested apply and view plans included.
 func joinRegions(root xmas.Op) []xmas.Op {
 	var out []xmas.Op
 	var visit func(op xmas.Op, covered bool)
@@ -110,20 +104,6 @@ func joinRegions(root xmas.Op) []xmas.Op {
 			}
 			visit(x.In, false)
 			return
-		case *xmas.SemiJoin:
-			if !covered {
-				out = append(out, op)
-			}
-			// The chain continues through the kept side; the filtering side
-			// is outside the region and may hold regions of its own.
-			if x.Keep == xmas.KeepLeft {
-				visit(x.L, true)
-				visit(x.R, false)
-			} else {
-				visit(x.L, false)
-				visit(x.R, true)
-			}
-			return
 		}
 		if a, ok := op.(*xmas.Apply); ok {
 			visit(a.Plan, false)
@@ -135,95 +115,6 @@ func joinRegions(root xmas.Op) []xmas.Op {
 	}
 	visit(root, false)
 	return out
-}
-
-// semiFilter is one link of a semi-join chain: the filtering (non-kept)
-// subtree with its condition and orientation.
-type semiFilter struct {
-	other xmas.Op
-	cond  *xmas.Cond
-	keep  xmas.Side
-}
-
-// flattenSemi decomposes a chain of semi-joins into its kept base and the
-// filters along the spine, in application order (innermost first).
-func flattenSemi(op xmas.Op) (base xmas.Op, semis []semiFilter) {
-	for {
-		sj, ok := op.(*xmas.SemiJoin)
-		if !ok {
-			break
-		}
-		if sj.Keep == xmas.KeepLeft {
-			semis = append(semis, semiFilter{other: sj.R, cond: sj.Cond, keep: sj.Keep})
-			op = sj.L
-		} else {
-			semis = append(semis, semiFilter{other: sj.L, cond: sj.Cond, keep: sj.Keep})
-			op = sj.R
-		}
-	}
-	for i, j := 0, len(semis)-1; i < j; i, j = i+1, j-1 {
-		semis[i], semis[j] = semis[j], semis[i]
-	}
-	return op, semis
-}
-
-// buildSemiChain reapplies the filters to the base in the given order,
-// keeping each filter's original orientation.
-func buildSemiChain(base xmas.Op, semis []semiFilter) xmas.Op {
-	cur := base
-	for _, s := range semis {
-		if s.keep == xmas.KeepLeft {
-			cur = &xmas.SemiJoin{L: cur, R: s.other, Cond: s.cond, Keep: s.keep}
-		} else {
-			cur = &xmas.SemiJoin{L: s.other, R: cur, Cond: s.cond, Keep: s.keep}
-		}
-	}
-	return cur
-}
-
-// reorderSemiRegion costs every application order of a semi-join chain.
-// Safety is unconditional here: each semi-join only filters its kept side,
-// so any order yields the same surviving tuples in the same (base) order —
-// what changes is which filters pushdown can merge with the base's server.
-func reorderSemiRegion(whole, region xmas.Op, est *Estimator, cat *source.Catalog) (xmas.Op, bool) {
-	base, semis := flattenSemi(region)
-	if len(semis) < 2 || len(semis) > maxTailLeaves {
-		return nil, false
-	}
-	baseCost, ok := pushedCost(whole, est, cat)
-	if !ok {
-		return nil, false
-	}
-	var best xmas.Op
-	bestCost := baseCost * acceptFactor
-	permuteSemis(semis, func(order []semiFilter) {
-		cand := buildSemiChain(base, order)
-		c, ok := pushedCost(substitute(whole, region, cand), est, cat)
-		if ok && c < bestCost {
-			best, bestCost = cand, c
-		}
-	})
-	if best == nil {
-		return nil, false
-	}
-	return best, true
-}
-
-// permuteSemis is permute for semi-filter slices.
-func permuteSemis(items []semiFilter, fn func([]semiFilter)) {
-	ops := make([]xmas.Op, len(items))
-	byOp := map[xmas.Op]semiFilter{}
-	for i := range items {
-		ops[i] = items[i].other
-		byOp[items[i].other] = items[i]
-	}
-	permute(ops, func(order []xmas.Op) {
-		out := make([]semiFilter, len(order))
-		for i, o := range order {
-			out[i] = byOp[o]
-		}
-		fn(out)
-	})
 }
 
 // flatten decomposes a region into its leaves (left-to-right) and the

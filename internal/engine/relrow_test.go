@@ -313,11 +313,11 @@ func TestTupleKeyKeepsPartsApart(t *testing.T) {
 
 // TestQSupplyBuildsOnlyAnswerItems: draining QSupply builds an item tuple
 // for exactly the items that reach the answer. Its plan is crElt(Avail) over
-// two semi-joins of rQ results — items with their suppliers, then with stock
-// rows of qty < 5. The semi-joins match every row on its Datums and build
-// no element, not even for the rows they keep (they read a kept row's tuple
-// id to drop duplicates), so the only tuples built are the ones crElt wraps
-// into the answer: one per Avail element.
+// a semi-join of rQ results — items with stock rows of qty < 5, one query on
+// db1, then with their suppliers. The semi-join matches every row on its
+// Datums and builds no element, not even for the rows it keeps (it reads a
+// kept row's tuple id to drop duplicates), so the only tuples built are the
+// ones crElt wraps into the answer: one per Avail element.
 func TestQSupplyBuildsOnlyAnswerItems(t *testing.T) {
 	db1, db2 := workload.SupplyDBs(300, 30, 3, 20020208)
 	cat := source.NewCatalog()

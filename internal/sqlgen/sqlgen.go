@@ -18,6 +18,7 @@ package sqlgen
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mix/internal/relstore"
@@ -35,11 +36,20 @@ import (
 // in. That is also the order of the unpushed wrapper scans — insertion order
 // — exactly when the relations were inserted in strictly ascending key
 // order; sqlexec then finds the ORDER BY already satisfied and does not sort.
+// Before a semi-join chain is converted, every filter the base's own server
+// can answer is moved onto the base (foldSemiChain), so that server receives
+// the most restrictive query it can evaluate.
 // The input plan is not mutated; the result shares every subtree Push did not
 // change with it. In debug mode (xmas.SetDebug, MIXDEBUG env) the result is
 // validated here; otherwise engine.Compile verifies it.
 func Push(plan xmas.Op, cat *source.Catalog) (xmas.Op, error) {
-	out := pushWalk(plan, cat)
+	return push(plan, cat, true)
+}
+
+// push is Push with the semi-join fold switchable, so tests can measure the
+// plan the chain's own order pushes to.
+func push(plan xmas.Op, cat *source.Catalog, fold bool) (xmas.Op, error) {
+	out := pushWalk(plan, cat, fold)
 	out = presortGroupBys(out)
 	out = defaultOrderBys(out)
 	if xmas.DebugEnabled() {
@@ -87,12 +97,97 @@ func defaultOrderBys(op xmas.Op) xmas.Op {
 
 // pushWalk rebuilds the plan top-down, converting the largest convertible
 // subtrees first.
-func pushWalk(op xmas.Op, cat *source.Catalog) xmas.Op {
+func pushWalk(op xmas.Op, cat *source.Catalog, fold bool) xmas.Op {
+	if sj, ok := op.(*xmas.SemiJoin); ok && fold {
+		op = foldSemiChain(sj, cat)
+	}
 	var aliases aliasAllocator
 	if frag, ok := convert(op, cat, &aliases); ok && frag.tableCount() > 0 {
 		return frag.toRelQuery(op.Schema())
 	}
-	return xmas.MapInputs(op, func(in xmas.Op) xmas.Op { return pushWalk(in, cat) })
+	return xmas.MapInputs(op, func(in xmas.Op) xmas.Op { return pushWalk(in, cat, fold) })
+}
+
+// ---- semi-join folding ----
+
+// keptSide is the input whose tuples a semi-join keeps.
+func keptSide(sj *xmas.SemiJoin) xmas.Op {
+	if sj.Keep == xmas.KeepLeft {
+		return sj.L
+	}
+	return sj.R
+}
+
+// onKept applies link's filter, in link's orientation, to kept.
+func onKept(link *xmas.SemiJoin, kept xmas.Op) xmas.Op {
+	if link.Keep == xmas.KeepLeft {
+		return link.WithInputs(kept, link.R)
+	}
+	return link.WithInputs(link.L, kept)
+}
+
+// flattenSemi decomposes a chain of semi-joins into its kept base and its
+// links, in application order (innermost first).
+func flattenSemi(sj *xmas.SemiJoin) (xmas.Op, []*xmas.SemiJoin) {
+	var links []*xmas.SemiJoin
+	var op xmas.Op = sj
+	for s, ok := sj, true; ok; s, ok = op.(*xmas.SemiJoin) {
+		links = append(links, s)
+		op = keptSide(s)
+	}
+	slices.Reverse(links)
+	return op, links
+}
+
+// foldSemiChain moves every filter of a semi-join chain that the base's own
+// server can evaluate directly onto the base, where convert merges it into
+// the base's query as Figure 22's DISTINCT self-join; the other filters
+// follow in their original order. A semi-join only filters its kept side,
+// so any order keeps the same tuples in the base's order, and DISTINCT drops
+// only rows equal on every selected column, the key columns among them.
+// That needs keys: a semi-join also drops kept tuples with equal ids, which
+// are made of the key columns, and the rows of a keyless relation share one
+// id, so which of them survives would depend on the order the filters run
+// in. A filter folds only over a base whose every variable has a key. A
+// single link, or a chain whose foldable filters already come first, is
+// returned as it is.
+func foldSemiChain(sj *xmas.SemiJoin, cat *source.Catalog) xmas.Op {
+	if _, ok := keptSide(sj).(*xmas.SemiJoin); !ok {
+		return sj
+	}
+	base, links := flattenSemi(sj)
+	cur, moved := base, false
+	var rest []*xmas.SemiJoin
+	for _, l := range links {
+		if cand := onKept(l, cur); mergesKeyed(cand, cat) {
+			cur, moved = cand, moved || len(rest) > 0
+		} else {
+			rest = append(rest, l)
+		}
+	}
+	if !moved {
+		return sj
+	}
+	for _, l := range rest {
+		cur = onKept(l, cur)
+	}
+	return cur
+}
+
+// mergesKeyed reports whether op converts to one query whose every exported
+// variable ranges over a keyed relation.
+func mergesKeyed(op xmas.Op, cat *source.Catalog) bool {
+	var aliases aliasAllocator
+	f, ok := convert(op, cat, &aliases)
+	if !ok {
+		return false
+	}
+	for _, vi := range f.vars {
+		if len(vi.schema.Key) == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ---- conversion state ----

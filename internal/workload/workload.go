@@ -234,11 +234,10 @@ func PaperXMLDoc(relation string) *xtree.Node {
 
 // QSupply is the skewed federated three-way join of experiment E20: items
 // with low-quantity stock, checked against their supplier. Only $I reaches
-// the result, so the supplier and stock join inputs are order-free — the
-// shape the cost-based reorderer exploits. The syntactic binding order
-// joins item (db1) with supplier (db2) first, straddling the servers; the
-// cost-chosen order joins item with the highly selective stock filter on
-// db1 first, which SQL pushdown then merges into a single query.
+// the result, so both joins become semi-join filters on item, supplier
+// (db2) first as the query binds them. SQL pushdown applies the highly
+// selective stock filter (db1) first instead and merges it into item's
+// query, so db1 ships only the items in stock.
 const QSupply = `
 FOR $I IN document(&db1.item)/item
     $S IN document(&db2.supplier)/supplier
